@@ -24,7 +24,8 @@ from .errors import (
     SingularFactorSystem,
 )
 from .risk_model import RussianDollModel
-from .stats_core import CovarianceMatrix, sample_covariance, serial_betas
+from .stats_core import CovarianceMatrix, serial_betas
+from .stats_core import sample_covariance  # noqa: F401  (perfbench/trace_layers.py wraps this name here)
 
 BETA_MODES = ("proportional-to-sigma", "observed-capped", "explicit")
 
@@ -86,11 +87,10 @@ def benchmark_weights(model: RussianDollModel) -> BenchmarkResult:
     lambdas.append(lam)
     for lvl in range(1, p + 1):
         shrunk = lam / (1.0 + model.zeta2[lvl - 1] * lam)
-        chi2 = model.chi[lvl - 1] ** 2
         if lvl < p:
-            lam = chi2 * np.array([shrunk[idx].sum() for idx in tree.children(lvl + 1)])
+            lam = np.array([shrunk[idx].sum() for idx in tree.children(lvl + 1)])
         else:
-            lam = chi2 * np.array([shrunk.sum()])
+            lam = np.array([shrunk.sum()])
         lambdas.append(lam)
 
     k1 = tree.cluster_counts[0]
@@ -209,9 +209,9 @@ def make_betas(
     (mean absolute deviation about the median) with a positivity floor, and
     rescales back. explicit passes ``spec.values`` through validation.
     """
-    sigma = np.sqrt(sample_covariance(panel).variances)
+    sigma = panel.values.std(axis=1, ddof=1)
     if spec.mode == "proportional-to-sigma":
-        values = sigma.copy()
+        values = sigma
     elif spec.mode == "observed-capped":
         if index_returns is None:
             raise InputError("observed-capped mode requires index returns")

@@ -25,6 +25,7 @@ from .benchmark import (
     write_weights_csv,
 )
 from .data_model import (
+    _read_csv,
     load_classification_csv,
     load_returns_csv,
     validate_tree,
@@ -34,7 +35,7 @@ from .data_model import (
 from .errors import InputError, MissingInputFile, ModelError, NoConvergence
 from .overlay import make_overlay_problem, residualize, tune_gamma
 from .risk_model import ThetaFitConfig, assemble_dense, build_russian_doll, save_model
-from .stats_core import sample_covariance
+from .stats_core import sample_covariance  # noqa: F401  (perfbench/trace_layers.py wraps this name here)
 from .synthetic import SyntheticSpec, generate
 
 EXIT_OK = 0
@@ -190,9 +191,8 @@ def _build_model(cfg: dict):
     for warning in validate_tree(tree, panel):
         print(f"warning: singleton level-{warning.level} cluster {warning.cluster!r}", file=sys.stderr)
     beta = _resolve_beta(cfg, panel)
-    cov = sample_covariance(panel)
     theta_cfg = ThetaFitConfig(z_min=float(cfg["z_min"]), z_max=float(cfg["z_max"]))
-    model = build_russian_doll(cov, tree, beta, mkt_fac=bool(cfg["mkt_fac"]), cfg=theta_cfg)
+    model = build_russian_doll(panel, tree, beta, mkt_fac=bool(cfg["mkt_fac"]), cfg=theta_cfg)
     return panel, tree, model
 
 
@@ -210,64 +210,40 @@ def _resolve_beta(cfg: dict, panel):
     elif cfg["beta_mode"] == "explicit":
         if not cfg.get("beta_file"):
             raise InputError("explicit beta mode requires --beta-file")
-        spec_kwargs["values"] = _load_beta_file(cfg["beta_file"], panel)
+        spec_kwargs["values"] = _load_ticker_values(cfg["beta_file"], panel, "beta")
     return make_betas(panel, BetaSpec(**spec_kwargs), index_returns)
 
 
 def _load_index_returns(path, panel) -> np.ndarray:
-    rows = _read_csv_rows(path)
-    if not rows or [c.lower() for c in rows[0][:2]] != ["date", "value"]:
-        raise InputError(f"{path}: expected header 'date,value'")
-    if len(rows) - 1 != panel.n_periods:
-        raise InputError(f"{path}: {len(rows) - 1} rows, expected {panel.n_periods} periods")
-    values = np.empty(panel.n_periods)
-    for s, row in enumerate(rows[1:]):
-        if row[0] != panel.dates[s]:
-            raise InputError(f"{path}: date {row[0]!r} does not match panel date {panel.dates[s]!r}")
-        try:
-            values[s] = float(row[1])
-        except ValueError:
-            raise InputError(f"{path}: non-numeric value on row {s + 1}") from None
-    return values
+    rows = _read_keyed_csv(path, ("date", "value"))
+    if len(rows) != panel.n_periods:
+        raise InputError(f"{path}: {len(rows)} rows, expected {panel.n_periods} periods")
+    for (date, _), expected in zip(rows, panel.dates):
+        if date != expected:
+            raise InputError(f"{path}: date {date!r} does not match panel date {expected!r}")
+    return np.array([value for _, value in rows])
 
 
-def _load_beta_file(path, panel) -> np.ndarray:
-    rows = _read_csv_rows(path)
-    if not rows or [c.lower() for c in rows[0][:2]] != ["ticker", "beta"]:
-        raise InputError(f"{path}: expected header 'ticker,beta'")
-    table = {}
-    for row in rows[1:]:
-        try:
-            table[row[0]] = float(row[1])
-        except ValueError:
-            raise InputError(f"{path}: non-numeric beta for {row[0]!r}") from None
+def _load_ticker_values(path, panel, column: str) -> np.ndarray:
+    table = dict(_read_keyed_csv(path, ("ticker", column)))
     missing = [t for t in panel.tickers if t not in table]
     if missing:
-        raise InputError(f"{path}: missing betas for {missing[:5]}")
+        raise InputError(f"{path}: missing {column} for {missing[:5]}")
     return np.array([table[t] for t in panel.tickers])
 
 
-def _load_expected_returns(path, panel) -> np.ndarray:
-    rows = _read_csv_rows(path)
-    if not rows or [c.lower() for c in rows[0][:2]] != ["ticker", "expected_return"]:
-        raise InputError(f"{path}: expected header 'ticker,expected_return'")
-    table = {}
+def _read_keyed_csv(path, header: tuple[str, str]) -> list[tuple[str, float]]:
+    """Rows of a two-column ``key,value`` CSV, in file order."""
+    rows = _read_csv(path)
+    if not rows or tuple(c.lower() for c in rows[0][:2]) != header:
+        raise InputError(f"{path}: expected header '{','.join(header)}'")
+    pairs = []
     for row in rows[1:]:
         try:
-            table[row[0]] = float(row[1])
-        except ValueError:
-            raise InputError(f"{path}: non-numeric expected return for {row[0]!r}") from None
-    missing = [t for t in panel.tickers if t not in table]
-    if missing:
-        raise InputError(f"{path}: missing expected returns for {missing[:5]}")
-    return np.array([table[t] for t in panel.tickers])
-
-
-def _read_csv_rows(path) -> list[list[str]]:
-    if not path or not os.path.exists(path):
-        raise MissingInputFile(path)
-    with open(path, newline="", encoding="utf-8") as handle:
-        return [row for row in csv.reader(handle) if row]
+            pairs.append((row[0], float(row[1])))
+        except (IndexError, ValueError):
+            raise InputError(f"{path}: non-numeric {header[1]} for {row[0]!r}") from None
+    return pairs
 
 
 def cmd_benchmark(args) -> int:
@@ -315,7 +291,7 @@ def cmd_overlay(args) -> int:
         w_star = benchmark_weights(model).weights
     if not cfg.get("expected_returns"):
         raise InputError("missing required input: --expected-returns")
-    signal = _load_expected_returns(cfg["expected_returns"], panel)
+    signal = _load_ticker_values(cfg["expected_returns"], panel, "expected_return")
     cov = assemble_dense(model)
     w_star_norm = w_star / w_star.sum()
     if cfg["residualize"]:

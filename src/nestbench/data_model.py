@@ -177,8 +177,6 @@ def load_returns_csv(path: str | os.PathLike) -> ReturnsPanel:
     for r, row in enumerate(rows[1:]):
         if len(row) != len(dates) + 1:
             raise InputError(f"{path}: row {r + 1} has {len(row)} fields, expected {len(dates) + 1}")
-        if row[0] in tickers:
-            raise DuplicateTicker(row[0])
         tickers.append(row[0])
         for c, cell in enumerate(row[1:]):
             try:

@@ -1,10 +1,11 @@
 """Nested multilevel factor-model construction.
 
 Fits one factor variance per cluster by least squares on off-diagonal
-correlations (bounded by specific-risk fractions), aggregates level by level,
-and assembles the implied dense covariance on demand. Stock loadings are the
-betas; cluster loadings above level 0 are uniform, stored as exactly 1 (any
-positive rescale is absorbed by the parent covariance and changes nothing).
+correlations (bounded by specific-risk fractions), aggregates the return
+series level by level without forming the N x N covariance, and assembles
+the implied dense covariance on demand. Stock loadings are the betas; cluster
+loadings above level 0 are exactly 1 (any positive rescale is absorbed by the
+parent covariance and changes nothing), so they are not stored.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data_model import BetaVector, ClassificationTree
+from .data_model import BetaVector, ClassificationTree, ReturnsPanel
 from .errors import (
     EmptyBlock,
     InputError,
@@ -98,7 +99,6 @@ class RussianDollModel:
     xi2: np.ndarray
     zeta2: tuple[np.ndarray, ...]
     top_var: float
-    chi: tuple[float, ...]
     fitted_cluster_var: tuple[np.ndarray, ...]
     mkt_fac: bool
     configs: tuple[ThetaFitConfig, ...] = field(repr=False)
@@ -117,7 +117,7 @@ class RussianDollModel:
             raise InputError("beta and tree tickers differ")
         if xi2.shape != (n,) or np.any(xi2 <= 0.0) or not np.all(np.isfinite(xi2)):
             raise InvalidVariance("stock specific variances must be strictly positive")
-        if len(zeta2) != p or len(fitted) != p or len(self.chi) != p:
+        if len(zeta2) != p or len(fitted) != p:
             raise InputError(f"expected {p} levels of cluster data")
         for lvl in range(p):
             if zeta2[lvl].shape != (counts[lvl],) or np.any(zeta2[lvl] < 0.0):
@@ -126,8 +126,6 @@ class RussianDollModel:
                 raise InputError(f"level-{lvl + 1} fitted variances have wrong length")
         if self.top_var < 0.0:
             raise InvalidVariance("top-level variance must be nonnegative")
-        if any(c <= 0.0 for c in self.chi):
-            raise InputError("cluster loadings must be positive")
         for z in zeta2:
             z.setflags(write=False)
         for g in fitted:
@@ -136,26 +134,28 @@ class RussianDollModel:
 
 
 def build_russian_doll(
-    cov: CovarianceMatrix,
+    panel: ReturnsPanel,
     tree: ClassificationTree,
     beta: BetaVector,
     mkt_fac: bool = True,
     cfg: ThetaFitConfig | tuple[ThetaFitConfig, ...] = ThetaFitConfig(),
 ) -> RussianDollModel:
-    """Fit the nested model level by level from a sample covariance.
+    """Fit the nested model level by level from a returns panel.
 
-    At each level every cluster's variance is fitted on the corresponding
-    block of the current covariance; members' specific variances are what the
-    fit leaves over. The covariance is then contracted onto the clusters
-    (plain double sums over members) and its diagonal rescaled to the fitted
-    values before the next level. The final level fits one market variance
-    when ``mkt_fac`` is set, otherwise it is pinned to zero.
+    Works on scaled, centred series s with s s' equal to the sample
+    covariance, so no N x N matrix is formed. At each level every cluster's
+    variance is fitted on the covariance block of its members' series;
+    members' specific variances are what the fit leaves over. Each cluster's
+    series is then the sum of its members' series, rescaled so that its
+    variance equals the fitted value, before the next level. The final level
+    fits one market variance when ``mkt_fac`` is set, otherwise it is pinned
+    to zero.
 
     ``cfg`` may be a single config or one per level (P+1 of them, the last
     for the market fit).
     """
-    if cov.tickers != tree.tickers or beta.tickers != tree.tickers:
-        raise InputError("covariance, tree and beta tickers must match")
+    if panel.tickers != tree.tickers or beta.tickers != tree.tickers:
+        raise InputError("panel, tree and beta tickers must match")
     p = tree.n_levels
     if isinstance(cfg, ThetaFitConfig):
         configs = (cfg,) * (p + 1)
@@ -164,7 +164,9 @@ def build_russian_doll(
         if len(configs) != p + 1:
             raise InputError(f"expected {p + 1} per-level configs, got {len(configs)}")
 
-    x = np.array(cov.values, dtype=float)
+    t = panel.n_periods
+    series = (panel.values - panel.values.mean(axis=1, keepdims=True)) / np.sqrt(t - 1)
+    diag = np.einsum("ij,ij->i", series, series)
     b = np.array(beta.values, dtype=float)
     xi2 = np.empty(0)
     zeta2: list[np.ndarray] = []
@@ -176,18 +178,18 @@ def build_russian_doll(
         if lvl <= p:
             groups = tree.children(lvl)
         else:
-            groups = [np.arange(x.shape[0])]
+            groups = [np.arange(len(diag))]
         k = len(groups)
-        diag = np.diag(x).copy()
         g_fit = np.empty(k)
-        spec = np.empty(x.shape[0])
+        spec = np.empty(len(diag))
         for a, idx in enumerate(groups):
             if lvl == p + 1 and not mkt_fac:
                 g_fit[a] = 0.0
             else:
                 if lvl == 1 and len(idx) > 1:
                     _check_admissible(level_cfg, tree, beta, diag, idx, a)
-                g_fit[a] = fit_theta(x[np.ix_(idx, idx)], b[idx], level_cfg)
+                members = series[idx]
+                g_fit[a] = fit_theta(members @ members.T, b[idx], level_cfg)
             spec[idx] = diag[idx] - b[idx] ** 2 * g_fit[a]
         _check_positive_specific(spec, lvl - 1, tree, groups)
         if lvl == 1:
@@ -199,17 +201,14 @@ def build_russian_doll(
         else:
             top_var = float(g_fit[0])
             break
-        # contract onto the clusters, then rescale diagonals to the fits
-        member = np.zeros((x.shape[0], k))
-        for a, idx in enumerate(groups):
-            member[idx, a] = 1.0
-        agg = member.T @ x @ member
-        agg_diag = np.diag(agg)
+        # cluster series: member sums rescaled so their variances are the fits
+        sums = np.stack([series[idx].sum(axis=0) for idx in groups])
+        agg_diag = np.einsum("ij,ij->i", sums, sums)
         if np.any(agg_diag <= 0.0):
             bad = tree.level_names[lvl - 1][int(np.argmax(agg_diag <= 0.0))]
             raise InvalidVariance(f"aggregated variance of cluster {bad!r} is not positive")
-        u = np.sqrt(g_fit / agg_diag)
-        x = agg * np.outer(u, u)
+        series = sums * np.sqrt(g_fit / agg_diag)[:, None]
+        diag = g_fit
         b = np.ones(k)
 
     return RussianDollModel(
@@ -218,7 +217,6 @@ def build_russian_doll(
         xi2=xi2,
         zeta2=tuple(zeta2),
         top_var=top_var,
-        chi=(1.0,) * p,
         fitted_cluster_var=tuple(fitted),
         mkt_fac=mkt_fac,
         configs=configs,
@@ -271,7 +269,7 @@ def assemble_dense(model: RussianDollModel) -> CovarianceMatrix:
         else:
             parent = np.zeros(tree.cluster_counts[p - 1], dtype=np.int64)
         block = current[np.ix_(parent, parent)]
-        current = np.diag(model.zeta2[lvl - 1]) + model.chi[lvl - 1] ** 2 * block
+        current = np.diag(model.zeta2[lvl - 1]) + block
     g0 = tree.parent_maps[0]
     beta = model.beta.values
     dense = np.diag(model.xi2) + np.outer(beta, beta) * current[np.ix_(g0, g0)]
@@ -289,7 +287,6 @@ def model_to_dict(model: RussianDollModel) -> dict:
         "xi2": model.xi2.tolist(),
         "zeta2": [z.tolist() for z in model.zeta2],
         "top_var": model.top_var,
-        "chi": list(model.chi),
         "fitted_cluster_var": [g.tolist() for g in model.fitted_cluster_var],
         "mkt_fac": model.mkt_fac,
         "configs": [{"z_min": c.z_min, "z_max": c.z_max} for c in model.configs],
@@ -297,6 +294,10 @@ def model_to_dict(model: RussianDollModel) -> dict:
 
 
 def model_from_dict(data: dict) -> RussianDollModel:
+    """Inverse of ``model_to_dict``. Also reads snapshots that still carry
+    the former per-level cluster loadings ``chi``, which were always 1."""
+    if any(float(c) != 1.0 for c in data.get("chi", ())):
+        raise InputError(f"cluster loadings chi must all be 1, got {data['chi']}")
     tickers = tuple(data["tickers"])
     tree = ClassificationTree(
         tickers,
@@ -309,7 +310,6 @@ def model_from_dict(data: dict) -> RussianDollModel:
         xi2=np.asarray(data["xi2"], dtype=float),
         zeta2=tuple(np.asarray(z, dtype=float) for z in data["zeta2"]),
         top_var=float(data["top_var"]),
-        chi=tuple(float(c) for c in data["chi"]),
         fitted_cluster_var=tuple(np.asarray(g, dtype=float) for g in data["fitted_cluster_var"]),
         mkt_fac=bool(data["mkt_fac"]),
         configs=tuple(ThetaFitConfig(c["z_min"], c["z_max"]) for c in data["configs"]),

@@ -70,11 +70,13 @@ def serial_betas(panel: ReturnsPanel, bench_returns: np.ndarray) -> RegressionBe
     if f.shape != (panel.n_periods,):
         raise InputError(f"benchmark series has length {f.shape}, expected {panel.n_periods}")
     f_centered = f - f.mean()
-    var_f = float(f_centered @ f_centered)
+    # einsum sums in a fixed order; BLAS gemv/dot results change with the
+    # BLAS thread count once the panel is large enough to be split
+    var_f = float(np.einsum("s,s->", f_centered, f_centered))
     if var_f <= 0.0:
         raise DegenerateBenchmark("benchmark returns have zero sample variance")
     centered = panel.values - panel.values.mean(axis=1, keepdims=True)
-    beta = centered @ f_centered / var_f
+    beta = np.einsum("is,s->i", centered, f_centered) / var_f
     alpha = panel.values.mean(axis=1) - beta * f.mean()
     residuals = panel.values - alpha[:, None] - np.outer(beta, f)
     return RegressionBetas(alpha, beta, residuals)

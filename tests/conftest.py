@@ -1,9 +1,11 @@
 """Shared generators for seeded random test instances."""
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
+import nestbench
 from nestbench import (
     BetaVector,
     ClassificationTree,
@@ -75,8 +77,20 @@ def random_instance(
     beta = BetaVector(instance.panel.tickers, beta_hat * sigma)
     if mkt_fac is None:
         mkt_fac = bool(rng.integers(0, 2))
-    model = build_russian_doll(cov, instance.tree, beta, mkt_fac=mkt_fac)
+    model = build_russian_doll(instance.panel, instance.tree, beta, mkt_fac=mkt_fac)
     return Instance(instance.panel, instance.tree, cov, beta, model, mkt_fac)
+
+
+def panel_with_covariance(tickers, cov, seed: int = 0) -> ReturnsPanel:
+    """A panel whose sample covariance equals ``cov`` (positive definite) to
+    rounding: T = N + 1 periods whose centred rows are an orthonormal basis,
+    from the QR of a centred Gaussian, mapped through the Cholesky factor."""
+    c = np.asarray(cov, dtype=float)
+    n = c.shape[0]
+    g = np.random.default_rng(seed).standard_normal((n + 1, n))
+    q, _ = np.linalg.qr(g - g.mean(axis=0))
+    values = np.linalg.cholesky(c) @ q.T * np.sqrt(n)
+    return ReturnsPanel(tuple(tickers), tuple(f"d{s}" for s in range(n + 1)), values)
 
 
 def random_overlay_problem(
@@ -103,3 +117,14 @@ def random_overlay_problem(
 def memberships(tree: ClassificationTree) -> list[np.ndarray]:
     """Stock-level binary membership matrices, most granular first."""
     return [tree.membership_matrix(level) for level in range(1, tree.n_levels + 1)]
+
+
+def blas_threads_env(threads: int) -> dict:
+    """Environment for a child Python that imports this checkout's nestbench
+    with BLAS limited to ``threads`` threads."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nestbench.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = str(threads)
+    return env

@@ -115,7 +115,7 @@ def test_criterion_4_closed_form_reductions():
     # (a) single cluster: weights proportional to beta over specific variance
     inst = random_instance(1234, n_range=(8, 16), p_range=(1, 1))
     tree = tree_from_labels(inst.panel.tickers, [("all",)] * inst.panel.n_stocks)
-    model = build_russian_doll(inst.cov, tree, inst.beta, mkt_fac=True)
+    model = build_russian_doll(inst.panel, tree, inst.beta, mkt_fac=True)
     beta = inst.beta.values
     eta = 1.0 / np.sum(beta**2 / model.xi2)
     err_a = float(np.abs(benchmark_weights(model).weights - eta * beta / model.xi2).max() / (eta * beta / model.xi2).max())
@@ -134,7 +134,7 @@ def test_criterion_4_closed_form_reductions():
     omega2 = float(rng.uniform(0.1, 0.5))
     model2 = RussianDollModel(
         tree=tree2, beta=BetaVector(tickers, beta2), xi2=xi2, zeta2=(z1, z2),
-        top_var=omega2, chi=(1.0, 1.0),
+        top_var=omega2,
         fitted_cluster_var=(np.ones(4), np.ones(2)), mkt_fac=True,
         configs=(ThetaFitConfig(),) * 3,
     )
@@ -285,13 +285,13 @@ def test_criterion_6_reference_parity():
     worst = 0.0
     panel, tree, cov, beta = _parity_fixture()
     for mkt_fac in (True, False):
-        model = build_russian_doll(cov, tree, beta, mkt_fac=mkt_fac)
+        model = build_russian_doll(panel, tree, beta, mkt_fac=mkt_fac)
         w_main = benchmark_weights(model).weights
         w_ref = reference_weights(panel.values, memberships(tree), beta.values, mkt_fac=mkt_fac)
         worst = max(worst, float(np.abs(w_main / w_ref - 1.0).max()))
 
     panel2, tree2, cov2, beta2 = _clamped_fixture()
-    model2 = build_russian_doll(cov2, tree2, beta2, mkt_fac=True)
+    model2 = build_russian_doll(panel2, tree2, beta2, mkt_fac=True)
     cfg = ThetaFitConfig()
     clamp_seen = False
     for sector, subs in enumerate(tree2.children(2)):

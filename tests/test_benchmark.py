@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import random_instance
+from _reference import reference_weights
+from conftest import memberships, panel_with_covariance, random_instance
 
 from nestbench import (
     BetaSpec,
     BetaVector,
-    CovarianceMatrix,
     ReturnsPanel,
     RussianDollModel,
     ThetaFitConfig,
@@ -49,9 +49,9 @@ class TestBenchmarkWeights:
         tree = tree_from_labels(
             ("A", "B", "C", "D"), [("c1",), ("c1",), ("c2",), ("c2",)]
         )
-        cov = CovarianceMatrix(tree.tickers, cov_values)
+        panel = panel_with_covariance(tree.tickers, cov_values)
         beta = BetaVector(tree.tickers, np.full(n, sigma))
-        model = build_russian_doll(cov, tree, beta, mkt_fac=True)
+        model = build_russian_doll(panel, tree, beta, mkt_fac=True)
         result = benchmark_weights(model)
         np.testing.assert_allclose(result.weights, 1.0 / (n * sigma), rtol=1e-12)
         assert result.weights @ beta.values == pytest.approx(1.0, abs=1e-15)
@@ -61,7 +61,7 @@ class TestBenchmarkWeights:
         # variance, normalized by the aggregated loading
         inst = random_instance(21, n_range=(6, 15), p_range=(1, 1))
         tree = tree_from_labels(inst.panel.tickers, [("all",)] * inst.panel.n_stocks)
-        model = build_russian_doll(inst.cov, tree, inst.beta, mkt_fac=True)
+        model = build_russian_doll(inst.panel, tree, inst.beta, mkt_fac=True)
         result = benchmark_weights(model)
         beta = inst.beta.values
         eta = 1.0 / np.sum(beta**2 / model.xi2)
@@ -74,6 +74,15 @@ class TestBenchmarkWeights:
             w_ref, sigma2_ref = benchmark_weights_oracle(assemble_dense(inst.model), inst.beta)
             np.testing.assert_allclose(result.weights, w_ref, rtol=1e-8)
             assert result.sigma_f2 == pytest.approx(sigma2_ref, rel=1e-8)
+
+    def test_matches_reference_algorithm(self):
+        for seed in range(30):
+            inst = random_instance(seed)
+            w = benchmark_weights(inst.model).weights
+            w_ref = reference_weights(
+                inst.panel.values, memberships(inst.tree), inst.beta.values, mkt_fac=inst.mkt_fac
+            )
+            np.testing.assert_allclose(w, w_ref, rtol=1e-10)
 
     def test_round_trip_betas(self):
         for seed in range(5):
@@ -104,7 +113,6 @@ class TestBenchmarkWeights:
             xi2=xi2,
             zeta2=(z1, z2),
             top_var=float(omega2),
-            chi=(1.0, 1.0),
             fitted_cluster_var=(np.ones(4), np.ones(2)),
             mkt_fac=True,
             configs=(ThetaFitConfig(),) * 3,
@@ -123,7 +131,7 @@ class TestBenchmarkWeights:
         inst = random_instance(44, n_range=(8, 20))
         c = 2.5
         scaled_beta = BetaVector(inst.panel.tickers, c * inst.beta.values)
-        scaled_model = build_russian_doll(inst.cov, inst.tree, scaled_beta, mkt_fac=inst.mkt_fac)
+        scaled_model = build_russian_doll(inst.panel, inst.tree, scaled_beta, mkt_fac=inst.mkt_fac)
         w1 = benchmark_weights(inst.model).weights
         w2 = benchmark_weights(scaled_model).weights
         np.testing.assert_allclose(w2, w1 / c, rtol=1e-12)

@@ -1,9 +1,13 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+
+from conftest import blas_threads_env
 
 from nestbench.cli import main
 
@@ -242,3 +246,76 @@ class TestBetas:
         rows = list(csv.DictReader(open(out / "betas.csv")))
         assert len(rows) == 16
         assert all(float(r["beta"]) > 0 for r in rows)
+
+
+def _write_rows(path, rows):
+    with open(path, "w", newline="") as handle:
+        csv.writer(handle).writerows(rows)
+    return path
+
+
+def _returns_rows(fix):
+    with open(fix / "returns.csv", newline="") as handle:
+        return list(csv.reader(handle))
+
+
+class TestKeyedInputs:
+    def test_index_date_mismatch(self, tmp_path, capsys):
+        fix = _synth(tmp_path)
+        dates = _returns_rows(fix)[0][1:]
+        rows = [["date", "value"]] + [[d, "0.01"] for d in dates]
+        rows[5][0] = "not-a-date"
+        index = _write_rows(tmp_path / "index.csv", rows)
+        code = run("betas", "--returns", str(fix / "returns.csv"), "--beta-mode", "observed-capped",
+                   "--index-returns", str(index), "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert "not-a-date" in capsys.readouterr().err
+
+    def test_index_non_numeric_value(self, tmp_path, capsys):
+        fix = _synth(tmp_path)
+        dates = _returns_rows(fix)[0][1:]
+        rows = [["date", "value"]] + [[d, "0.01"] for d in dates]
+        rows[3][1] = "n/a"
+        index = _write_rows(tmp_path / "index.csv", rows)
+        code = run("betas", "--returns", str(fix / "returns.csv"), "--beta-mode", "observed-capped",
+                   "--index-returns", str(index), "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert repr(dates[2]) in capsys.readouterr().err
+
+    def test_beta_file_missing_ticker(self, tmp_path, capsys):
+        fix = _synth(tmp_path)
+        tickers = [r[0] for r in _returns_rows(fix)[1:]]
+        beta_file = _write_rows(tmp_path / "beta.csv", [["ticker", "beta"]] + [[t, "1.0"] for t in tickers[1:]])
+        code = run("betas", "--returns", str(fix / "returns.csv"), "--beta-mode", "explicit",
+                   "--beta-file", str(beta_file), "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert tickers[0] in capsys.readouterr().err
+
+    def test_expected_returns_wrong_header(self, tmp_path, capsys):
+        fix = _synth(tmp_path)
+        signal = _write_signal(fix / "returns.csv", tmp_path / "e.csv", value="0.01")
+        text = signal.read_text().replace("ticker,expected_return", "ticker,alpha", 1)
+        signal.write_text(text)
+        code = run("overlay", "--returns", str(fix / "returns.csv"),
+                   "--classification", str(fix / "classification.csv"),
+                   "--expected-returns", str(signal), "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert "ticker,expected_return" in capsys.readouterr().err
+
+
+def test_benchmark_bytes_independent_of_blas_threads(tmp_path):
+    def nestbench_cli(threads, cwd, *argv):
+        subprocess.run([sys.executable, "-m", "nestbench", *argv], cwd=cwd,
+                       env=blas_threads_env(threads), check=True, capture_output=True, timeout=300)
+
+    fix = tmp_path / "fix"
+    nestbench_cli(1, tmp_path, "synth", "--n", "1200", "--t", "300", "--clusters", "120,12,3",
+                  "--rho", "0.4,0.25,0.1", "--market-rho", "0.05", "--seed", "11", "--out", str(fix))
+    # the same relative --out keeps the config echoed into benchmark.json equal
+    for threads in (1, 2):
+        (tmp_path / f"t{threads}").mkdir()
+        nestbench_cli(threads, tmp_path / f"t{threads}", "benchmark",
+                      "--returns", str(fix / "returns.csv"),
+                      "--classification", str(fix / "classification.csv"), "--out", "out")
+    for name in ("weights.csv", "model.json", "benchmark.json"):
+        assert _read(tmp_path / "t1" / "out" / name) == _read(tmp_path / "t2" / "out" / name), name

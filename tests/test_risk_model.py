@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from conftest import random_instance
+from conftest import panel_with_covariance, random_instance
 
 from nestbench import (
     BetaVector,
-    CovarianceMatrix,
+    ReturnsPanel,
     RussianDollModel,
     ThetaFitConfig,
     assemble_dense,
@@ -88,10 +88,10 @@ class TestBuildRussianDoll:
 
     def test_inadmissible_dispersion_aborts(self):
         tree = _two_cluster_tree()
-        cov = CovarianceMatrix(tree.tickers, np.eye(4))
+        panel = panel_with_covariance(tree.tickers, np.eye(4))
         beta = BetaVector(tree.tickers, np.array([1.0, 3.0, 1.0, 1.0]))
         with pytest.raises(NegativeSpecificVariance) as err:
-            build_russian_doll(cov, tree, beta)
+            build_russian_doll(panel, tree, beta)
         assert err.value.level == 0
         assert "S0" in str(err.value) or "S1" in str(err.value)
 
@@ -103,9 +103,9 @@ class TestBuildRussianDoll:
         cov_values[:2, :2] = block
         cov_values[2:, 2:] = block
         tree = _two_cluster_tree()
-        cov = CovarianceMatrix(tree.tickers, cov_values)
+        panel = panel_with_covariance(tree.tickers, cov_values)
         beta = BetaVector(tree.tickers, np.ones(4))
-        model = build_russian_doll(cov, tree, beta, mkt_fac=True)
+        model = build_russian_doll(panel, tree, beta, mkt_fac=True)
         np.testing.assert_allclose(model.fitted_cluster_var[0], [0.5, 0.5], rtol=1e-14)
         assert model.top_var == pytest.approx((1 - 0.9**2) * 0.5, rel=1e-12)
         np.testing.assert_allclose(model.xi2, 0.5, rtol=1e-14)
@@ -120,22 +120,40 @@ class TestBuildRussianDoll:
         cov_values[:2, :2] = block
         cov_values[2:, 2:] = block
         tree = _two_cluster_tree()
-        cov = CovarianceMatrix(tree.tickers, cov_values)
+        panel = panel_with_covariance(tree.tickers, cov_values)
         beta = BetaVector(tree.tickers, np.ones(4))
         configs = (ThetaFitConfig(), ThetaFitConfig(z_min=0.1, z_max=0.6))
-        model = build_russian_doll(cov, tree, beta, mkt_fac=True, cfg=configs)
+        model = build_russian_doll(panel, tree, beta, mkt_fac=True, cfg=configs)
         assert model.top_var == pytest.approx((1 - 0.6**2) * 0.5, rel=1e-12)
+
+    def test_fit_allocates_no_dense_covariance(self):
+        import tracemalloc
+
+        n, t = 3000, 60
+        rng = np.random.default_rng(0)
+        labels = [(f"a{i % 300}", f"b{i % 30}") for i in range(n)]
+        tree = tree_from_labels(tuple(f"S{i}" for i in range(n)), labels)
+        values = rng.standard_normal((n, t)) + rng.standard_normal((300, t))[np.arange(n) % 300]
+        panel = ReturnsPanel(tree.tickers, tuple(f"d{s}" for s in range(t)), values)
+        beta = BetaVector(tree.tickers, values.std(axis=1, ddof=1))
+        tracemalloc.start()
+        try:
+            build_russian_doll(panel, tree, beta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8
 
     def test_misaligned_inputs(self):
         tree = _two_cluster_tree()
-        cov = CovarianceMatrix(("X0", "X1", "X2", "X3"), np.eye(4))
+        panel = panel_with_covariance(("X0", "X1", "X2", "X3"), np.eye(4))
         beta = BetaVector(tree.tickers, np.ones(4))
         with pytest.raises(InputError):
-            build_russian_doll(cov, tree, beta)
+            build_russian_doll(panel, tree, beta)
 
 
 class TestAssembleDense:
-    def _model(self, tree, xi2, zeta2, top_var, beta=None, chi=None):
+    def _model(self, tree, xi2, zeta2, top_var, beta=None):
         n = len(tree.tickers)
         beta = BetaVector(tree.tickers, np.ones(n) if beta is None else beta)
         return RussianDollModel(
@@ -144,7 +162,6 @@ class TestAssembleDense:
             xi2=np.asarray(xi2, dtype=float),
             zeta2=tuple(np.asarray(z, dtype=float) for z in zeta2),
             top_var=top_var,
-            chi=(1.0,) * tree.n_levels if chi is None else chi,
             fitted_cluster_var=tuple(np.ones(k) for k in tree.cluster_counts),
             mkt_fac=top_var > 0,
             configs=(DEFAULT,) * (tree.n_levels + 1),
@@ -176,41 +193,14 @@ class TestAssembleDense:
             inst = random_instance(seed + 50, n_range=(6, 30))
             np.linalg.cholesky(assemble_dense(inst.model).values)  # raises if not PD
 
-    def test_chi_rescaling_is_immaterial(self):
-        rng = np.random.default_rng(4)
-        inst = random_instance(12, n_range=(10, 24), p_range=(2, 3))
-        model = inst.model
-        p = model.tree.n_levels
-        factors = rng.uniform(0.5, 2.0, p)
-        scales = np.ones(p + 1)  # scales[l-1] multiplies the level-l covariance
-        for lvl in range(1, p + 1):
-            scales[lvl] = scales[lvl - 1] / factors[lvl - 1] ** 2
-        rescaled = RussianDollModel(
-            tree=model.tree,
-            beta=model.beta,
-            xi2=model.xi2,
-            zeta2=tuple(z * scales[lvl] for lvl, z in enumerate(model.zeta2)),
-            top_var=model.top_var * scales[p],
-            chi=tuple(factors),
-            fitted_cluster_var=tuple(g * scales[lvl] for lvl, g in enumerate(model.fitted_cluster_var)),
-            mkt_fac=model.mkt_fac,
-            configs=model.configs,
-        )
-        np.testing.assert_allclose(
-            assemble_dense(rescaled).values, assemble_dense(model).values, rtol=1e-12, atol=1e-18
-        )
-
 
 class TestScaleBehaviour:
     def test_rescaled_returns_rescale_the_model(self):
-        from nestbench import ReturnsPanel, sample_covariance
-
         inst = random_instance(33, n_range=(8, 20), p_range=(1, 3))
         c = 3.7
         scaled_panel = ReturnsPanel(inst.panel.tickers, inst.panel.dates, c * inst.panel.values)
-        scaled_cov = sample_covariance(scaled_panel)
         scaled_beta = BetaVector(inst.panel.tickers, c * inst.beta.values)
-        scaled = build_russian_doll(scaled_cov, inst.tree, scaled_beta, mkt_fac=inst.mkt_fac)
+        scaled = build_russian_doll(scaled_panel, inst.tree, scaled_beta, mkt_fac=inst.mkt_fac)
         # admissibility is driven by beta/sigma, which is unchanged; the
         # assembled covariance picks up the c^2 while stock specific
         # variances carry it explicitly
@@ -232,6 +222,24 @@ class TestSerialization:
         np.testing.assert_array_equal(
             assemble_dense(back).values, assemble_dense(inst.model).values
         )
+
+    def test_loads_snapshot_with_unit_chi(self):
+        # snapshots written before chi was dropped carry "chi": [1.0, ...]
+        inst = random_instance(7, n_range=(8, 20), p_range=(2, 3))
+        data = model_to_dict(inst.model)
+        assert "chi" not in data
+        data["chi"] = [1.0] * inst.tree.n_levels
+        back = model_from_dict(data)
+        np.testing.assert_array_equal(
+            assemble_dense(back).values, assemble_dense(inst.model).values
+        )
+
+    def test_rejects_non_unit_chi(self):
+        inst = random_instance(7, n_range=(8, 20), p_range=(2, 3))
+        data = model_to_dict(inst.model)
+        data["chi"] = [2.0] + [1.0] * (inst.tree.n_levels - 1)
+        with pytest.raises(InputError):
+            model_from_dict(data)
 
     def test_file_roundtrip(self, tmp_path):
         from nestbench import load_model, save_model

@@ -1,5 +1,10 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+
+from conftest import blas_threads_env
 
 from nestbench import (
     CovarianceMatrix,
@@ -129,3 +134,22 @@ def test_serial_and_weight_betas_agree():
         from_reg = serial_betas(panel, w @ values).beta
         from_cov, _ = betas_from_weights(sample_covariance(panel), w)
         np.testing.assert_allclose(from_reg, from_cov, rtol=1e-10)
+
+
+def test_serial_betas_bytes_independent_of_blas_threads():
+    # a panel large enough for BLAS to split a matrix-vector product across threads
+    code = (
+        "import sys, numpy as np\n"
+        "from nestbench import ReturnsPanel, serial_betas\n"
+        "rng = np.random.default_rng(0)\n"
+        "n, t = 1500, 2500\n"
+        "panel = ReturnsPanel(tuple(f'S{i}' for i in range(n)), tuple(f'd{s}' for s in range(t)),\n"
+        "                     rng.normal(0.0, 0.02, (n, t)))\n"
+        "sys.stdout.write(serial_betas(panel, rng.normal(0.0, 0.01, t)).beta.tobytes().hex())\n"
+    )
+    outputs = [
+        subprocess.run([sys.executable, "-c", code], env=blas_threads_env(threads), check=True,
+                       capture_output=True, text=True, timeout=300).stdout
+        for threads in (1, 2)
+    ]
+    assert outputs[0] == outputs[1]
