@@ -87,6 +87,11 @@ class OverlayProblem:
     def n_stocks(self) -> int:
         return len(self.expected_returns)
 
+    @property
+    def pinned(self) -> np.ndarray:
+        """Boxes no wider than the bound tolerance: these weights never move."""
+        return self.upper - self.lower <= _BOUND_TOL
+
 
 @dataclass(frozen=True)
 class KKTReport:
@@ -190,7 +195,12 @@ def residualize(expected_returns: np.ndarray, w_star: np.ndarray, weights: np.nd
     return v * (e - coef * w)
 
 
-def optimize_mvo(problem: OverlayProblem, gamma_prime: float, max_iter: int | None = None) -> np.ndarray:
+def optimize_mvo(
+    problem: OverlayProblem,
+    gamma_prime: float,
+    max_iter: int | None = None,
+    start: np.ndarray | None = None,
+) -> np.ndarray:
     """Maximize E'w - (1/gamma') w'Cov w over the box, subject to Q'w = 0.
 
     Iterative active-set clamping: solve the equality-constrained quadratic
@@ -199,6 +209,12 @@ def optimize_mvo(problem: OverlayProblem, gamma_prime: float, max_iter: int | No
     and re-solve; once feasible, release the active bound with the worst
     wrong-signed multiplier and repeat until the active set is stable. The
     stepping keeps the objective monotone, which rules out cycling.
+
+    The search starts at w = 0, or at ``start``: any feasible point, such as
+    the optimum at another gamma' (the feasible set does not depend on
+    gamma'). Coordinates of ``start`` within rounding of a bound are snapped
+    to it and begin active, so a start near the answer leaves only the few
+    bounds that differ to be walked.
     """
     if gamma_prime <= 0.0:
         raise InputError("gamma_prime must be positive")
@@ -206,14 +222,34 @@ def optimize_mvo(problem: OverlayProblem, gamma_prime: float, max_iter: int | No
     hess = (2.0 / gamma_prime) * problem.cov
     e = problem.expected_returns
     q = problem.constraints
-    lower, upper = problem.lower, problem.upper
-    pinned = upper - lower <= _BOUND_TOL  # zero-width boxes can never move
+    # pinned weights hold at 0, which keeps w = 0 feasible however their
+    # box straddles it
+    pinned = problem.pinned
+    lower = np.where(pinned, 0.0, problem.lower)
+    upper = np.where(pinned, 0.0, problem.upper)
+    # a bound counts as reached within _BOUND_TOL of the box width: an
+    # absolute tolerance would move coordinates of narrow boxes by a good
+    # share of their width on clamping, and that drift breaks Q'w = 0 when
+    # too few coordinates are free to absorb it
+    near = _BOUND_TOL * (upper - lower)
     if max_iter is None:
         max_iter = 100 * (n + 1)
 
     at_lower = pinned.copy()
     at_upper = np.zeros(n, dtype=bool)
-    w = np.zeros(n)  # always feasible: bounds straddle zero and Q'0 = 0
+    if start is None:
+        w = np.zeros(n)  # always feasible: bounds straddle zero and Q'0 = 0
+    else:
+        w = np.array(start, dtype=float)
+        if w.shape != (n,):
+            raise InputError(f"start has shape {w.shape}, expected ({n},)")
+        if np.any(w < lower - _BOUND_TOL) or np.any(w > upper + _BOUND_TOL):
+            raise InputError("start lies outside the bounds")
+        if np.abs(q.T @ w).max() > 1e-10:
+            raise InputError("start violates the linear constraints")
+        at_lower |= w - lower <= near
+        at_upper = ~at_lower & (upper - w <= near)
+        w = np.where(at_lower, lower, np.where(at_upper, upper, w))
     iterations = 0
     while True:
         while True:
@@ -223,8 +259,8 @@ def optimize_mvo(problem: OverlayProblem, gamma_prime: float, max_iter: int | No
             free = ~(at_lower | at_upper)
             w_fixed = np.where(at_lower, lower, 0.0) + np.where(at_upper, upper, 0.0)
             target, mu = _solve_equality_qp(hess, e, q, free, w_fixed)
-            viol_lo = free & (target < lower - _BOUND_TOL)
-            viol_hi = free & (target > upper + _BOUND_TOL)
+            viol_lo = free & (target < lower - near)
+            viol_hi = free & (target > upper + near)
             if not viol_lo.any() and not viol_hi.any():
                 w = target
                 break
@@ -234,8 +270,8 @@ def optimize_mvo(problem: OverlayProblem, gamma_prime: float, max_iter: int | No
                 ratio_hi = np.where(viol_hi, (upper - w) / step, np.inf)
             alpha = max(0.0, min(1.0, float(np.minimum(ratio_lo, ratio_hi).min())))
             w = w + alpha * step
-            hit_lo = free & (step < 0.0) & (w - lower <= _BOUND_TOL)
-            hit_hi = free & (step > 0.0) & (upper - w <= _BOUND_TOL)
+            hit_lo = free & (step < 0.0) & (w - lower <= near)
+            hit_hi = free & (step > 0.0) & (upper - w <= near)
             if not hit_lo.any() and not hit_hi.any():
                 # roundoff left the blocking coordinate marginally inside;
                 # clamp the worst violator outright
@@ -278,10 +314,15 @@ def _solve_equality_qp(hess, e, q, free, w_fixed):
     kkt[:nf, :nf] = hff
     kkt[:nf, nf:] = qf
     kkt[nf:, :nf] = qf.T
+    rhs = np.concatenate([rhs_top, rhs_bottom])
     try:
-        sol = np.linalg.solve(kkt, np.concatenate([rhs_top, rhs_bottom]))
+        sol = np.linalg.solve(kkt, rhs)
     except np.linalg.LinAlgError:
-        raise NoConvergence(0, None) from None
+        # the free rows of Q are rank-deficient (say, fewer free coordinates
+        # than constraint columns): the system stays consistent because the
+        # current point is feasible, and the free weights stay unique; only
+        # the multipliers do not
+        sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
     w = w_fixed.copy()
     w[free] = sol[:nf]
     return w, sol[nf:]
@@ -299,22 +340,23 @@ def kkt_check(
 
     On the free set the objective gradient must lie in the constraint span;
     at an upper-active coordinate the reduced gradient must be >= 0, at a
-    lower-active one <= 0.
+    lower-active one <= 0. A coordinate is active within ``active_tol`` of
+    its box width from a bound, so narrow boxes do not count interior
+    coordinates as active; zero-width boxes are pinned and carry no sign.
     """
     w = np.asarray(w_prime, dtype=float)
     grad = problem.expected_returns - (2.0 / gamma_prime) * problem.cov @ w
     q = problem.constraints
     scale = max(1.0, float(np.abs(grad).max()))
-    at_lower = w - problem.lower <= active_tol
-    at_upper = problem.upper - w <= active_tol
+    width = problem.upper - problem.lower
+    pinned = problem.pinned
+    at_lower = pinned | (w - problem.lower <= active_tol * width)
+    at_upper = pinned | (problem.upper - w <= active_tol * width)
     free = ~(at_lower | at_upper)
-    if free.any():
-        mu, *_ = np.linalg.lstsq(q[free, :], grad[free], rcond=None)
-    else:
-        mu, *_ = np.linalg.lstsq(q, grad, rcond=None)
+    fit = free if free.any() else ~pinned
+    mu, *_ = np.linalg.lstsq(q[fit, :], grad[fit], rcond=None)
     reduced = grad - q @ mu
     stationarity = float(np.abs(reduced[free]).max()) if free.any() else 0.0
-    pinned = at_lower & at_upper
     lo_viol = np.where(at_lower & ~pinned, np.maximum(reduced, 0.0), 0.0)
     hi_viol = np.where(at_upper & ~pinned, np.maximum(-reduced, 0.0), 0.0)
     multiplier_violation = float(np.maximum(lo_viol, hi_viol).max())
@@ -356,15 +398,13 @@ def default_gamma_max(problem: OverlayProblem, multiple: float = 100.0) -> float
     direction, _ = _solve_equality_qp(2.0 * problem.cov, problem.expected_returns,
                                       problem.constraints, free, np.zeros(problem.n_stocks))
     tiny = 1e-14 * max(1.0, float(np.abs(direction).max()))
-    ratios = []
-    for i, d in enumerate(direction):
-        if d > tiny and problem.upper[i] > 0.0:
-            ratios.append(problem.upper[i] / d)
-        elif d < -tiny and problem.lower[i] < 0.0:
-            ratios.append(problem.lower[i] / d)
-    if not ratios:
+    rising = (direction > tiny) & (problem.upper > 0.0)
+    falling = (direction < -tiny) & (problem.lower < 0.0)
+    blocking = ~problem.pinned & (rising | falling)
+    if not blocking.any():
         return 1.0
-    return multiple * min(ratios)
+    bound = np.where(rising, problem.upper, problem.lower)
+    return multiple * float((bound[blocking] / direction[blocking]).min())
 
 
 def tune_gamma(
@@ -390,7 +430,10 @@ def tune_gamma(
 
     def probe(gamma: float) -> float:
         if gamma not in cache:
-            w = optimize_mvo(problem, gamma)
+            # every probe shares the feasible set, so the nearest solved
+            # probe's optimum is a start that already holds most active bounds
+            nearest = min(cache, key=lambda g: abs(g - gamma), default=None)
+            w = optimize_mvo(problem, gamma, start=None if nearest is None else cache[nearest][0])
             cache[gamma] = (w, sharpe_ratio(problem, w))
         return cache[gamma][1]
 

@@ -217,6 +217,30 @@ class TestOverlay:
         )
         assert code == 2
 
+    def test_zero_width_boxes_leave_one_free_stock(self, tmp_path):
+        # fifteen zero-width boxes and two constraint columns: one free
+        # stock, a singular KKT matrix, and w' = 0 as the only feasible point
+        fix = _synth(tmp_path)
+        signal = _write_signal(fix / "returns.csv", tmp_path / "e.csv", jitter=0.01)
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({
+            "lower_bounds": [0.0] * 15 + [-0.01],
+            "upper_bounds": [0.0] * 15 + [0.01],
+        }))
+        out = tmp_path / "ov"
+        code = run(
+            "--config", str(config),
+            "overlay", "--returns", str(fix / "returns.csv"),
+            "--classification", str(fix / "classification.csv"),
+            "--expected-returns", str(signal),
+            "--constraints", "dollar-neutral,orthogonal-to-benchmark",
+            "--out", str(out),
+        )
+        assert code == 0
+        rows = list(csv.DictReader(open(out / "overlay.csv")))
+        w_prime = np.array([float(r["w_prime"]) for r in rows])
+        np.testing.assert_allclose(w_prime, 0.0, rtol=0, atol=1e-15)
+
     def test_pipeline_composition(self, tmp_path):
         # feeding the benchmark CSV back in must match the inline run
         fix = _synth(tmp_path)

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_overlay_problem
+
+import nestbench.overlay
 
 from nestbench import (
     build_constraints,
@@ -177,6 +181,112 @@ class TestOptimizeMvo:
         with pytest.raises(InputError):
             optimize_mvo(problem, 0.0)
 
+    def test_fewer_free_coordinates_than_constraints(self):
+        # three zero-width boxes leave one free stock against two constraint
+        # columns: the KKT matrix is singular, the only feasible point w' = 0
+        cov = np.array(
+            [
+                [4.0e-4, 1.0e-4, 5.0e-5, 2.0e-5],
+                [1.0e-4, 9.0e-4, 1.0e-4, 3.0e-5],
+                [5.0e-5, 1.0e-4, 6.0e-4, 4.0e-5],
+                [2.0e-5, 3.0e-5, 4.0e-5, 5.0e-4],
+            ]
+        )
+        problem = _problem([0.01, -0.02, 0.015, 0.005], cov, w_star=[0.3, 0.2, 0.25, 0.25],
+                           modes=("dollar-neutral", "orthogonal-to-benchmark"),
+                           lower=np.array([0.0, 0.0, 0.0, -0.1]),
+                           upper=np.array([0.0, 0.0, 0.0, 0.1]))
+        for gamma in (0.1, 10.0, 1000.0):
+            w = optimize_mvo(problem, gamma)
+            np.testing.assert_allclose(w, 0.0, rtol=0, atol=1e-15)
+            assert kkt_check(problem, gamma, w).ok
+
+
+class TestWarmStart:
+    def test_matches_cold_solve(self):
+        for seed in range(20):
+            modes = ("dollar-neutral",) if seed % 2 else ("dollar-neutral", "zero-expected-correlation")
+            problem, gamma = random_overlay_problem(seed, modes=modes)
+            cold = optimize_mvo(problem, gamma)
+            for other in (gamma / 3.0, 3.0 * gamma):
+                start = optimize_mvo(problem, other)
+                warm = optimize_mvo(problem, gamma, start=start)
+                np.testing.assert_allclose(warm, cold, rtol=0, atol=1e-12 * np.abs(cold).max())
+                assert kkt_check(problem, gamma, warm).ok, (seed, other)
+
+    def test_invalid_start(self):
+        problem, gamma = random_overlay_problem(0, modes=("dollar-neutral", "zero-expected-correlation"))
+        n = problem.n_stocks
+        off_box = np.zeros(n)
+        off_box[0], off_box[1] = 2.0 * problem.upper[0], -2.0 * problem.upper[0]
+        tilted = np.zeros(n)
+        tilted[0] = 0.5 * problem.upper[0]
+        for start in (off_box, tilted, np.zeros(n + 1), np.zeros((n, 1))):
+            with pytest.raises(InputError):
+                optimize_mvo(problem, gamma, start=start)
+
+
+_MODE_SETS = (
+    ("dollar-neutral",),
+    ("dollar-neutral", "zero-expected-correlation"),
+    ("dollar-neutral", "orthogonal-to-benchmark"),
+)
+
+
+def _banded_problem(seed, modes, bands):
+    """Seeded covariance, signal and benchmark; box +/- bands * w_star."""
+    bands = np.asarray(bands, dtype=float)
+    n = len(bands)
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n, n))
+    cov = 1e-4 * (a @ a.T / n + np.diag(rng.uniform(0.2, 2.0, n)))
+    w_star = rng.uniform(0.2, 1.0, n)
+    w_star /= w_star.sum()
+    e = rng.normal(0.0, 1e-2, n)
+    return make_overlay_problem(e, cov, w_star, lower=-bands * w_star, upper=bands * w_star, modes=modes)
+
+
+@st.composite
+def _small_problems(draw):
+    """N of 3 to 8 with per-stock bands in [0, 1], some of them zero, so
+    that active sets leave fewer free coordinates than constraint columns."""
+    n = draw(st.integers(3, 8))
+    modes = draw(st.sampled_from(_MODE_SETS))
+    bands = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), min_size=n, max_size=n))
+    return _banded_problem(draw(st.integers(0, 2**32 - 1)), modes, bands)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(_small_problems())
+# one free stock against two constraint columns
+@example(_banded_problem(71, _MODE_SETS[1], [0.0, 0.0, 0.2]))
+# boxes 1e-10 of the benchmark wide
+@example(_banded_problem(890, _MODE_SETS[1], [0.3, 1e-10, 1e-10]))
+# interior coordinates within 1e-9 of a bound of a narrow box
+@example(_banded_problem(166, _MODE_SETS[2], [0.0, 0.0, 0.0, 0.0, 1e-6, 1e-6, 1e-6]))
+# boxes narrower than the bound tolerance, straddling zero
+@example(_banded_problem(372, _MODE_SETS[2], [0.66, 0.0, 6e-13, 0.0, 0.0, 6e-13, 6e-13]))
+def test_warm_start_property(problem):
+    gammas = default_gamma_max(problem) * np.array([1e-3, 1e-2, 1e-1, 1.0, 10.0])
+    cold = [optimize_mvo(problem, g) for g in gammas]
+    for i, gamma in enumerate(gammas):
+        assert kkt_check(problem, gamma, cold[i]).ok
+        warm = optimize_mvo(problem, gamma, start=cold[i - 1])
+        np.testing.assert_allclose(warm, cold[i], rtol=0, atol=1e-10)
+        assert kkt_check(problem, gamma, warm).ok
+
+
+def _counting_kkt(monkeypatch):
+    calls = []
+    solve = nestbench.overlay._solve_equality_qp
+
+    def counted(*args):
+        calls.append(1)
+        return solve(*args)
+
+    monkeypatch.setattr(nestbench.overlay, "_solve_equality_qp", counted)
+    return calls
+
 
 class TestTuneGamma:
     def _binding_fixture(self):
@@ -229,6 +339,25 @@ class TestTuneGamma:
             assert result.sharpe_opt >= result.sharpe_zero - 1e-12
             assert np.all(result.combined >= 0.0)
             assert abs(result.w_prime.sum()) <= 1e-10
+
+    def test_warm_started_probes_match_cold_search(self, monkeypatch):
+        optimize = nestbench.overlay.optimize_mvo
+        for seed in range(6):
+            problem, _ = random_overlay_problem(seed, n_range=(50, 60))
+            with monkeypatch.context() as patch:
+                cold_calls = _counting_kkt(patch)
+                patch.setattr(nestbench.overlay, "optimize_mvo",
+                              lambda problem, gamma, start=None: optimize(problem, gamma))
+                cold = tune_gamma(problem)
+            with monkeypatch.context() as patch:
+                warm_calls = _counting_kkt(patch)
+                warm = tune_gamma(problem)
+            assert warm.gamma_prime == cold.gamma_prime
+            assert warm.bracket_saturated == cold.bracket_saturated
+            assert warm.active_lower == cold.active_lower
+            assert warm.active_upper == cold.active_upper
+            np.testing.assert_allclose(warm.w_prime, cold.w_prime, rtol=0, atol=1e-12)
+            assert 4 * len(warm_calls) <= len(cold_calls), (seed, len(warm_calls), len(cold_calls))
 
     def test_sharpe_zero_is_benchmark_sharpe(self):
         problem, _ = random_overlay_problem(5)
