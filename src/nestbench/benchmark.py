@@ -1,30 +1,22 @@
 """Benchmark weight construction.
 
-The production path turns a fitted nested model into strictly positive
-weights through a product of per-level normalization factors; two independent
-oracles (a dense symmetric solve and the general factor-model inverse) back
-it in tests. Beta construction helpers live here too.
+A fitted nested model turns into strictly positive weights through one
+nested solve, a product of per-level normalization factors. Beta
+construction helpers live here too.
 """
 
 from __future__ import annotations
 
 import csv
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data_model import BetaVector, ReturnsPanel
-from .errors import (
-    DegenerateModel,
-    InputError,
-    InvalidBeta,
-    InvalidVariance,
-    SingularCovariance,
-    SingularFactorSystem,
-)
+from .errors import DegenerateModel, InputError, InvalidBeta
 from .risk_model import RussianDollModel
-from .stats_core import CovarianceMatrix, serial_betas
+from .stats_core import serial_betas
 from .stats_core import sample_covariance  # noqa: F401  (perfbench/trace_layers.py wraps this name here)
 
 BETA_MODES = ("proportional-to-sigma", "observed-capped", "explicit")
@@ -41,7 +33,6 @@ class BenchmarkResult:
     weights: np.ndarray
     sigma_f2: float
     gamma: np.ndarray  # one normalization factor per level-1 cluster
-    lambdas: tuple[np.ndarray, ...]  # aggregated loadings, levels 1..P+1
 
     def __post_init__(self):
         weights = np.array(self.weights, dtype=float)
@@ -73,127 +64,20 @@ class BetaSpec:
 def benchmark_weights(model: RussianDollModel) -> BenchmarkResult:
     """Weights of the long-only benchmark implied by a fitted model.
 
-    Pure algebra on the model: per-cluster aggregated loadings are shrunk
-    level by level, each stock's weight is beta over specific variance times
-    the product of its ancestors' normalization factors, and the result is
-    normalized so the weighted betas sum to one.
+    Pure algebra on the model: w = sigma_f2 * Gamma^-1 beta with
+    sigma_f2 = 1 / beta' Gamma^-1 beta, so the weighted betas sum to one.
+    The nested solve with v = beta is the product formula: each stock's beta
+    over its specific variance times one normalization factor per ancestor
+    cluster. ``gamma`` holds the product of those factors per level-1 cluster.
     """
-    tree = model.tree
     beta = model.beta.values
-    p = tree.n_levels
-
-    lambdas: list[np.ndarray] = []
-    lam = np.array([np.sum(beta[idx] ** 2 / model.xi2[idx]) for idx in tree.children(1)])
-    lambdas.append(lam)
-    for lvl in range(1, p + 1):
-        shrunk = lam / (1.0 + model.zeta2[lvl - 1] * lam)
-        if lvl < p:
-            lam = np.array([shrunk[idx].sum() for idx in tree.children(lvl + 1)])
-        else:
-            lam = np.array([shrunk.sum()])
-        lambdas.append(lam)
-
-    k1 = tree.cluster_counts[0]
-    ancestor = np.arange(k1)
-    gamma = np.ones(k1)
-    for lvl in range(1, p + 1):
-        gamma /= 1.0 + model.zeta2[lvl - 1][ancestor] * lambdas[lvl - 1][ancestor]
-        if lvl < p:
-            ancestor = tree.parent_maps[lvl][ancestor]
-    gamma = gamma / (1.0 + model.top_var * lambdas[p][0])
-
-    inv_sigma2 = float(lambdas[0] @ gamma)
+    x = model.solve(beta)
+    inv_sigma2 = float(np.einsum("i,i->", beta, x))
     if inv_sigma2 <= 0.0:
         raise DegenerateModel("implied benchmark variance is not positive")
-    sigma_f2 = 1.0 / inv_sigma2
-    weights = sigma_f2 * beta / model.xi2 * gamma[tree.parent_maps[0]]
-    weights = weights / float(weights @ beta)
-    return BenchmarkResult(tree.tickers, weights, sigma_f2, gamma, tuple(lambdas))
-
-
-def benchmark_weights_oracle(
-    gamma_cov: CovarianceMatrix | np.ndarray, beta: BetaVector | np.ndarray
-) -> tuple[np.ndarray, float]:
-    """Formal solution by a direct dense solve: w = sigma_f2 * Gamma^-1 beta.
-
-    Deliberately ignorant of any factor structure; used to cross-check the
-    factorized path.
-    """
-    g = gamma_cov.values if isinstance(gamma_cov, CovarianceMatrix) else np.asarray(gamma_cov, dtype=float)
-    b = beta.values if isinstance(beta, BetaVector) else np.asarray(beta, dtype=float)
-    try:
-        np.linalg.cholesky(g)
-    except np.linalg.LinAlgError:
-        raise SingularCovariance("covariance is not positive-definite") from None
-    x = np.linalg.solve(g, b)
-    inv_sigma2 = float(b @ x)
-    if inv_sigma2 <= 0.0:
-        raise SingularCovariance("beta' Gamma^-1 beta is not positive")
-    sigma_f2 = 1.0 / inv_sigma2
-    return sigma_f2 * x, sigma_f2
-
-
-@dataclass(frozen=True)
-class GeneralFactorResult:
-    """Weights for an explicit (loadings, factor covariance) model, with the
-    intermediates the derivation runs through kept for verification."""
-
-    weights: np.ndarray
-    sigma_f2: float
-    theta: float
-    lam: np.ndarray
-    q_matrix: np.ndarray = field(repr=False)
-    upsilon: np.ndarray = field(repr=False)
-    upsilon_tilde: np.ndarray = field(repr=False)
-
-
-def general_factor_weights(
-    xi2: np.ndarray,
-    loadings: np.ndarray,
-    factor_cov: np.ndarray,
-    beta: BetaVector | np.ndarray,
-) -> GeneralFactorResult:
-    """Benchmark weights for Gamma = diag(xi2) + loadings @ factor_cov @ loadings'.
-
-    Works entirely in factor space (K x K solves), so it doubles as an
-    independent oracle for factorized constructions.
-    """
-    xi2 = np.asarray(xi2, dtype=float)
-    b = beta.values if isinstance(beta, BetaVector) else np.asarray(beta, dtype=float)
-    omega = np.asarray(loadings, dtype=float)
-    if omega.ndim != 2 or omega.shape[0] != len(b):
-        raise InputError(f"loadings shape {omega.shape} does not match {len(b)} stocks")
-    if np.any(xi2 <= 0.0):
-        raise InvalidVariance("specific variances must be strictly positive")
-    n, k = omega.shape
-    theta = float(np.sum(b**2 / xi2))
-    if k == 0:
-        sigma_f2 = 1.0 / theta
-        weights = sigma_f2 * b / xi2
-        empty = np.empty((0,))
-        return GeneralFactorResult(weights, sigma_f2, theta, empty, np.empty((0, 0)), np.zeros(n), np.zeros(n))
-    phi = np.asarray(factor_cov, dtype=float)
-    if phi.shape != (k, k):
-        raise InputError(f"factor covariance shape {phi.shape} does not match {k} factors")
-    try:
-        phi_inv = np.linalg.solve(phi, np.eye(k))
-    except np.linalg.LinAlgError:
-        raise SingularFactorSystem("factor covariance is singular") from None
-    q = phi_inv + omega.T @ (omega / xi2[:, None])
-    lam = omega.T @ (b / xi2)
-    try:
-        q_inv_lam = np.linalg.solve(q, lam)
-    except np.linalg.LinAlgError:
-        raise SingularFactorSystem("factor-space system Q is singular") from None
-    upsilon = omega @ q_inv_lam
-    inv_sigma2 = theta - float(lam @ q_inv_lam)
-    if inv_sigma2 <= 0.0:
-        raise DegenerateModel("implied benchmark variance is not positive")
-    sigma_f2 = 1.0 / inv_sigma2
-    weights = sigma_f2 * (b - upsilon) / xi2
-    omega_tilde = (omega - np.outer(b, lam) / theta) / xi2[:, None]
-    upsilon_tilde = omega_tilde @ q_inv_lam
-    return GeneralFactorResult(weights, sigma_f2, theta, lam, q, upsilon, upsilon_tilde)
+    g0 = model.tree.parent_maps[0]
+    gamma = np.bincount(g0, x * model.xi2 / beta) / np.bincount(g0)
+    return BenchmarkResult(model.tree.tickers, x / inv_sigma2, 1.0 / inv_sigma2, gamma)
 
 
 def make_betas(

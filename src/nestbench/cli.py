@@ -34,7 +34,8 @@ from .data_model import (
 )
 from .errors import InputError, MissingInputFile, ModelError, NoConvergence
 from .overlay import make_overlay_problem, residualize, tune_gamma
-from .risk_model import ThetaFitConfig, assemble_dense, build_russian_doll, save_model
+from .risk_model import ThetaFitConfig, build_russian_doll, save_model
+from .risk_model import assemble_dense  # noqa: F401  (perfbench/trace_layers.py wraps this name here)
 from .stats_core import sample_covariance  # noqa: F401  (perfbench/trace_layers.py wraps this name here)
 from .synthetic import SyntheticSpec, generate
 
@@ -292,7 +293,6 @@ def cmd_overlay(args) -> int:
     if not cfg.get("expected_returns"):
         raise InputError("missing required input: --expected-returns")
     signal = _load_ticker_values(cfg["expected_returns"], panel, "expected_return")
-    cov = assemble_dense(model)
     w_star_norm = w_star / w_star.sum()
     if cfg["residualize"]:
         signal = residualize(signal, w_star_norm)
@@ -301,7 +301,7 @@ def cmd_overlay(args) -> int:
     upper = cfg.get("upper_bounds")
     problem = make_overlay_problem(
         signal,
-        cov,
+        model,
         w_star,
         band=float(cfg["band_z"]),
         lower=None if lower is None else np.asarray(lower, dtype=float),
@@ -389,13 +389,7 @@ def _rescale_to_unit_sum(result: BenchmarkResult) -> BenchmarkResult:
     """Switch from unit weighted betas to unit total weight; the portfolio
     variance picks up the square of the scale."""
     scale = float(result.weights.sum())
-    return BenchmarkResult(
-        result.tickers,
-        result.weights / scale,
-        result.sigma_f2 / scale**2,
-        result.gamma,
-        result.lambdas,
-    )
+    return BenchmarkResult(result.tickers, result.weights / scale, result.sigma_f2 / scale**2, result.gamma)
 
 
 def _parse_number_list(text, kind, name):

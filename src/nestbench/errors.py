@@ -107,10 +107,6 @@ class SingularCovariance(ModelError):
     """Covariance matrix is singular or not positive-definite."""
 
 
-class SingularFactorSystem(ModelError):
-    """The factor-space system Q is singular."""
-
-
 class DegenerateRegression(InputError):
     """Regression denominator is zero (all-zero regressor or weights)."""
 

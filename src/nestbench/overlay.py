@@ -1,9 +1,11 @@
 """Market-outperformance overlay.
 
-A dollar-neutral sleeve is optimized against a model covariance under box
-bounds and homogeneous linear constraints, its risk-aversion scale tuned by
-golden-section search on the combined portfolio's expected Sharpe ratio, and
-the sleeve added to the benchmark so the total stays long-only.
+A dollar-neutral sleeve is optimized against the nested risk model under
+box bounds and homogeneous linear constraints, its risk-aversion scale tuned
+by golden-section search on the combined portfolio's expected Sharpe ratio,
+and the sleeve added to the benchmark so the total stays long-only. The
+model enters only through its O(N P) ``matvec`` and ``solve``; no N x N
+matrix is formed.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .errors import (
     NoConvergence,
     SingularCovariance,
 )
-from .stats_core import CovarianceMatrix
+from .risk_model import RussianDollModel
 
 CONSTRAINT_MODES = ("dollar-neutral", "zero-expected-correlation", "orthogonal-to-benchmark")
 
@@ -29,13 +31,17 @@ INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 _BOUND_TOL = 1e-12
 
+# eigenvalues of the equilibrated Schur matrix below this share of the largest
+# count as zero: those constraint combinations vanish on the free rows
+_RANK_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class OverlayProblem:
     """One optimization instance: signal, risk model, benchmark, box, constraints."""
 
     expected_returns: np.ndarray
-    cov: np.ndarray = field(repr=False)
+    model: RussianDollModel = field(repr=False)
     w_star: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
@@ -43,20 +49,16 @@ class OverlayProblem:
 
     def __post_init__(self):
         e = np.array(self.expected_returns, dtype=float)
-        cov = np.array(self.cov, dtype=float)
         w_star = np.array(self.w_star, dtype=float)
         lower = np.array(self.lower, dtype=float)
         upper = np.array(self.upper, dtype=float)
         q = np.array(self.constraints, dtype=float)
         n = len(e)
-        for name, arr, shape in (
-            ("cov", cov, (n, n)),
-            ("w_star", w_star, (n,)),
-            ("lower", lower, (n,)),
-            ("upper", upper, (n,)),
-        ):
-            if arr.shape != shape:
-                raise InputError(f"{name} has shape {arr.shape}, expected {shape}")
+        if self.model.n_stocks != n:
+            raise InputError(f"model has {self.model.n_stocks} stocks, expected {n}")
+        for name, arr in (("w_star", w_star), ("lower", lower), ("upper", upper)):
+            if arr.shape != (n,):
+                raise InputError(f"{name} has shape {arr.shape}, expected {(n,)}")
         if q.ndim != 2 or q.shape[0] != n or q.shape[1] < 1:
             raise InputError(f"constraint matrix has shape {q.shape}, expected ({n}, p)")
         if np.any(w_star <= 0.0):
@@ -74,11 +76,7 @@ class OverlayProblem:
         svals = np.linalg.svd(q, compute_uv=False)
         if svals[-1] <= 1e-10 * svals[0]:
             raise DegenerateConstraints("constraint columns are linearly dependent")
-        try:
-            np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError:
-            raise SingularCovariance("overlay covariance is not positive-definite") from None
-        for name, arr in (("expected_returns", e), ("cov", cov), ("w_star", w_star),
+        for name, arr in (("expected_returns", e), ("w_star", w_star),
                           ("lower", lower), ("upper", upper), ("constraints", q)):
             object.__setattr__(self, name, arr)
             arr.setflags(write=False)
@@ -131,21 +129,20 @@ class OverlayResult:
     eq_residual: float
 
 
-def build_constraints(modes, cov: np.ndarray | CovarianceMatrix, w_star: np.ndarray) -> np.ndarray:
+def build_constraints(modes, model: RussianDollModel, w_star: np.ndarray) -> np.ndarray:
     """Assemble the constraint matrix for the requested neutrality modes.
 
     The dollar-neutrality unit column always comes first; zero expected
-    correlation adds cov @ w_star, benchmark orthogonality adds w_star.
+    correlation adds Gamma w_star, benchmark orthogonality adds w_star.
     """
     modes = set(modes)
     unknown = modes - set(CONSTRAINT_MODES)
     if unknown:
         raise InputError(f"unknown constraint modes: {sorted(unknown)}")
-    c = cov.values if isinstance(cov, CovarianceMatrix) else np.asarray(cov, dtype=float)
     w = np.asarray(w_star, dtype=float)
     columns = [np.ones(len(w))]
     if "zero-expected-correlation" in modes:
-        columns.append(c @ w)
+        columns.append(model.matvec(w))
     if "orthogonal-to-benchmark" in modes:
         columns.append(w)
     q = np.column_stack(columns)
@@ -157,7 +154,7 @@ def build_constraints(modes, cov: np.ndarray | CovarianceMatrix, w_star: np.ndar
 
 def make_overlay_problem(
     expected_returns: np.ndarray,
-    cov: np.ndarray | CovarianceMatrix,
+    model: RussianDollModel,
     w_star: np.ndarray,
     band: float = 0.5,
     lower: np.ndarray | None = None,
@@ -170,15 +167,14 @@ def make_overlay_problem(
     if np.any(w <= 0.0):
         raise InputError("benchmark weights must be strictly positive")
     w = w / w.sum()
-    c = cov.values if isinstance(cov, CovarianceMatrix) else np.asarray(cov, dtype=float)
     if lower is None:
         if not 0.0 < band:
             raise InputError("band must be positive")
         lower = -band * w if band < 1.0 else -w
     if upper is None:
         upper = band * w
-    q = build_constraints(modes, c, w)
-    return OverlayProblem(np.asarray(expected_returns, dtype=float), c, w, lower, upper, q)
+    q = build_constraints(modes, model, w)
+    return OverlayProblem(np.asarray(expected_returns, dtype=float), model, w, lower, upper, q)
 
 
 def residualize(expected_returns: np.ndarray, w_star: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
@@ -198,10 +194,9 @@ def residualize(expected_returns: np.ndarray, w_star: np.ndarray, weights: np.nd
 def optimize_mvo(
     problem: OverlayProblem,
     gamma_prime: float,
-    max_iter: int | None = None,
     start: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Maximize E'w - (1/gamma') w'Cov w over the box, subject to Q'w = 0.
+    """Maximize E'w - (1/gamma') w'Gamma w over the box, subject to Q'w = 0.
 
     Iterative active-set clamping: solve the equality-constrained quadratic
     on the free set; while its solution breaks bounds, step toward it from
@@ -219,7 +214,7 @@ def optimize_mvo(
     if gamma_prime <= 0.0:
         raise InputError("gamma_prime must be positive")
     n = problem.n_stocks
-    hess = (2.0 / gamma_prime) * problem.cov
+    curvature = 2.0 / gamma_prime  # the Hessian is curvature * Gamma
     e = problem.expected_returns
     q = problem.constraints
     # pinned weights hold at 0, which keeps w = 0 feasible however their
@@ -232,8 +227,7 @@ def optimize_mvo(
     # share of their width on clamping, and that drift breaks Q'w = 0 when
     # too few coordinates are free to absorb it
     near = _BOUND_TOL * (upper - lower)
-    if max_iter is None:
-        max_iter = 100 * (n + 1)
+    max_iter = 100 * (n + 1)
 
     at_lower = pinned.copy()
     at_upper = np.zeros(n, dtype=bool)
@@ -245,7 +239,7 @@ def optimize_mvo(
             raise InputError(f"start has shape {w.shape}, expected ({n},)")
         if np.any(w < lower - _BOUND_TOL) or np.any(w > upper + _BOUND_TOL):
             raise InputError("start lies outside the bounds")
-        if np.abs(q.T @ w).max() > 1e-10:
+        if np.abs(_dot(q, w)).max() > 1e-10:
             raise InputError("start violates the linear constraints")
         at_lower |= w - lower <= near
         at_upper = ~at_lower & (upper - w <= near)
@@ -258,7 +252,7 @@ def optimize_mvo(
                 raise NoConvergence(max_iter, w)
             free = ~(at_lower | at_upper)
             w_fixed = np.where(at_lower, lower, 0.0) + np.where(at_upper, upper, 0.0)
-            target, mu = _solve_equality_qp(hess, e, q, free, w_fixed)
+            target, mu, null = _solve_equality_qp(problem.model, curvature, e, q, free, w_fixed)
             viol_lo = free & (target < lower - near)
             viol_hi = free & (target > upper + near)
             if not viol_lo.any() and not viol_hi.any():
@@ -284,8 +278,16 @@ def optimize_mvo(
             w = np.where(hit_lo, lower, w)
             w = np.where(hit_hi, upper, w)
 
-        reduced = e - hess @ w - q @ mu
-        scale = max(1.0, float(np.abs(e).max()), float(np.abs(hess @ w).max()))
+        hw = curvature * problem.model.matvec(w)
+        grad = e - hw
+        if null.shape[1]:
+            # the free rows leave these multipliers open: fit them to the
+            # active rows, so no bound is released for want of a better mu
+            rows = (at_lower | at_upper) & ~pinned
+            fit, *_ = np.linalg.lstsq(q[rows] @ null, grad[rows] - q[rows] @ mu, rcond=None)
+            mu = mu + null @ fit
+        reduced = grad - np.einsum("ij,j->i", q, mu)
+        scale = max(1.0, float(np.abs(e).max()), float(np.abs(hw).max()))
         releasable_lo = at_lower & ~pinned & (reduced > 1e-11 * scale)
         releasable_hi = at_upper & ~pinned & (reduced < -1e-11 * scale)
         if not releasable_lo.any() and not releasable_hi.any():
@@ -296,36 +298,39 @@ def optimize_mvo(
         at_upper[worst] = False
 
 
-def _solve_equality_qp(hess, e, q, free, w_fixed):
+def _solve_equality_qp(model, curvature, e, q, free, w_fixed):
     """Minimize the quadratic over the free coordinates with the active ones
-    fixed, subject to the full set of linear constraints."""
-    n, p = q.shape
-    nf = int(free.sum())
-    active = ~free
-    if nf == 0:
-        w = w_fixed.copy()
-        mu, *_ = np.linalg.lstsq(q, e - hess @ w, rcond=None)
-        return w, mu
-    hff = hess[np.ix_(free, free)]
-    qf = q[free, :]
-    rhs_top = e[free] - hess[np.ix_(free, active)] @ w_fixed[active]
-    rhs_bottom = -q[active, :].T @ w_fixed[active]
-    kkt = np.zeros((nf + p, nf + p))
-    kkt[:nf, :nf] = hff
-    kkt[:nf, nf:] = qf
-    kkt[nf:, :nf] = qf.T
-    rhs = np.concatenate([rhs_top, rhs_bottom])
-    try:
-        sol = np.linalg.solve(kkt, rhs)
-    except np.linalg.LinAlgError:
-        # the free rows of Q are rank-deficient (say, fewer free coordinates
-        # than constraint columns): the system stays consistent because the
-        # current point is feasible, and the free weights stay unique; only
-        # the multipliers do not
-        sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
-    w = w_fixed.copy()
-    w[free] = sol[:nf]
-    return w, sol[nf:]
+    fixed, subject to Q'w = 0, with H = curvature * Gamma.
+
+    w_F = a - Y mu, with a = H_FF^-1 (e - H w_fixed)_F and Y = H_FF^-1 Q_F
+    from nested solves, leaves the p x p Schur system (Q_F' Y) mu =
+    Q'(a + w_fixed). Directions of mu the free rows of Q leave open are
+    dropped from it, never divided by a pivot that is zero to rounding, and
+    returned as ``null``; one refinement pass restores Q'w = 0.
+    """
+    p = q.shape[1]
+    if not free.any():
+        return w_fixed.copy(), np.zeros(p), np.eye(p)
+    r = e - curvature * model.matvec(w_fixed)
+    a = model.solve(r, free) / curvature
+    y = np.column_stack([model.solve(q[:, j], free) for j in range(p)]) / curvature
+    schur = np.einsum("ij,ik->jk", q, y)
+    scale = 1.0 / np.sqrt(np.diag(schur))
+    lam, vec = np.linalg.eigh(scale[:, None] * schur * scale)
+    keep = lam > _RANK_TOL * lam[-1]
+    basis = scale[:, None] * vec[:, keep]
+    # Schur inverse on the determined directions: B (B' S B)^-1 B'
+    inverse = basis @ np.linalg.solve(basis.T @ schur @ basis, basis.T)
+    mu = inverse @ _dot(q, a + w_fixed)
+    w = w_fixed + a - np.einsum("ij,j->i", y, mu)
+    refine = inverse @ _dot(q, w)
+    return w - np.einsum("ij,j->i", y, refine), mu + refine, scale[:, None] * vec[:, ~keep]
+
+
+def _dot(u, v):
+    """u' v for an N-vector v and an N-vector or N x p matrix u, with every
+    N-long sum in a fixed order, whatever the BLAS thread count."""
+    return np.einsum("i...,i->...", u, v)
 
 
 def kkt_check(
@@ -345,7 +350,7 @@ def kkt_check(
     coordinates as active; zero-width boxes are pinned and carry no sign.
     """
     w = np.asarray(w_prime, dtype=float)
-    grad = problem.expected_returns - (2.0 / gamma_prime) * problem.cov @ w
+    grad = problem.expected_returns - (2.0 / gamma_prime) * problem.model.matvec(w)
     q = problem.constraints
     scale = max(1.0, float(np.abs(grad).max()))
     width = problem.upper - problem.lower
@@ -360,7 +365,7 @@ def kkt_check(
     lo_viol = np.where(at_lower & ~pinned, np.maximum(reduced, 0.0), 0.0)
     hi_viol = np.where(at_upper & ~pinned, np.maximum(-reduced, 0.0), 0.0)
     multiplier_violation = float(np.maximum(lo_viol, hi_viol).max())
-    eq_residual = float(np.abs(q.T @ w).max())
+    eq_residual = float(np.abs(_dot(q, w)).max())
     bound_violation = float(
         np.maximum(np.maximum(problem.lower - w, w - problem.upper), 0.0).max()
     )
@@ -384,10 +389,10 @@ def kkt_check(
 def sharpe_ratio(problem: OverlayProblem, w_prime: np.ndarray) -> float:
     """Expected Sharpe ratio of benchmark plus sleeve under the overlay model."""
     w = problem.w_star + w_prime
-    variance = float(w @ problem.cov @ w)
+    variance = float(_dot(w, problem.model.matvec(w)))
     if variance <= 0.0:
         raise SingularCovariance("combined portfolio variance is not positive")
-    return float(problem.expected_returns @ w) / math.sqrt(variance)
+    return float(_dot(problem.expected_returns, w)) / math.sqrt(variance)
 
 
 def default_gamma_max(problem: OverlayProblem, multiple: float = 100.0) -> float:
@@ -395,7 +400,7 @@ def default_gamma_max(problem: OverlayProblem, multiple: float = 100.0) -> float
     risk-aversion scale, so take ``multiple`` times the scale at which the
     first bound binds."""
     free = np.ones(problem.n_stocks, dtype=bool)
-    direction, _ = _solve_equality_qp(2.0 * problem.cov, problem.expected_returns,
+    direction, *_ = _solve_equality_qp(problem.model, 2.0, problem.expected_returns,
                                       problem.constraints, free, np.zeros(problem.n_stocks))
     tiny = 1e-14 * max(1.0, float(np.abs(direction).max()))
     rising = (direction > tiny) & (problem.upper > 0.0)
@@ -462,7 +467,7 @@ def tune_gamma(
     if sharpe_zero > sharpe_opt + 1e-12 * max(1.0, abs(sharpe_zero)):
         gamma_opt, w_opt, sharpe_opt, saturated = 0.0, np.zeros(problem.n_stocks), sharpe_zero, False
 
-    combined = combine(problem.w_star, w_opt, problem.cov)
+    combined = combine(problem.w_star, w_opt, problem.model)
     report = (
         kkt_check(problem, gamma_opt, w_opt)
         if gamma_opt > 0.0
@@ -484,7 +489,7 @@ def tune_gamma(
     )
 
 
-def combine(w_star: np.ndarray, w_prime: np.ndarray, cov: np.ndarray | CovarianceMatrix) -> CombinedPortfolio:
+def combine(w_star: np.ndarray, w_prime: np.ndarray, model: RussianDollModel) -> CombinedPortfolio:
     """Add the sleeve to the benchmark; fail loudly if long-only is broken.
 
     Reports the expected correlation between benchmark and sleeve under the
@@ -492,7 +497,6 @@ def combine(w_star: np.ndarray, w_prime: np.ndarray, cov: np.ndarray | Covarianc
     """
     w_star = np.asarray(w_star, dtype=float)
     w_prime = np.asarray(w_prime, dtype=float)
-    c = cov.values if isinstance(cov, CovarianceMatrix) else np.asarray(cov, dtype=float)
     total = w_star + w_prime
     if np.any(total < -1e-12):
         bad = int(np.argmin(total))
@@ -500,11 +504,8 @@ def combine(w_star: np.ndarray, w_prime: np.ndarray, cov: np.ndarray | Covarianc
     if abs(total.sum() - w_star.sum()) > 1e-10 * max(1.0, abs(w_star.sum())):
         raise InputError("sleeve is not dollar-neutral: combined scale drifted")
     total = np.maximum(total, 0.0)
-    sigma_star = math.sqrt(float(w_star @ c @ w_star))
-    sigma_prime2 = float(w_prime @ c @ w_prime)
-    sigma_prime = math.sqrt(max(sigma_prime2, 0.0))
-    if sigma_prime == 0.0:
-        rho = None
-    else:
-        rho = float(w_star @ c @ w_prime) / (sigma_star * sigma_prime)
+    gw_star = model.matvec(w_star)
+    sigma_star = math.sqrt(_dot(w_star, gw_star))
+    sigma_prime = math.sqrt(max(_dot(w_prime, model.matvec(w_prime)), 0.0))
+    rho = None if sigma_prime == 0.0 else float(_dot(w_prime, gw_star)) / (sigma_star * sigma_prime)
     return CombinedPortfolio(total, rho, sigma_star, sigma_prime)

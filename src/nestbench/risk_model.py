@@ -2,8 +2,9 @@
 
 Fits one factor variance per cluster by least squares on off-diagonal
 correlations (bounded by specific-risk fractions), aggregates the return
-series level by level without forming the N x N covariance, and assembles
-the implied dense covariance on demand. Stock loadings are the betas; cluster
+series level by level without forming the N x N covariance, and applies
+the fitted covariance and its inverse in O(N P); the dense N x N form is
+assembled only for checks. Stock loadings are the betas; cluster
 loadings above level 0 are exactly 1 (any positive rescale is absorbed by the
 parent covariance and changes nothing), so they are not stored.
 """
@@ -13,6 +14,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -91,7 +93,8 @@ class RussianDollModel:
     ``zeta2[l-1]`` holds the specific variances of the level-l clusters,
     ``fitted_cluster_var[l-1]`` the fitted total variances the level-l fit
     produced, and ``top_var`` the single top-level variance (zero when the
-    market factor is disabled).
+    market factor is disabled). The covariance is positive definite by
+    construction; ``matvec`` and ``solve`` apply it and its inverse.
     """
 
     tree: ClassificationTree
@@ -131,6 +134,54 @@ class RussianDollModel:
         for g in fitted:
             g.setflags(write=False)
         xi2.setflags(write=False)
+
+    @property
+    def n_stocks(self) -> int:
+        return len(self.tree.tickers)
+
+    @cached_property
+    def _levels(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """(stock -> cluster map, cluster specific variances) per level, then
+        the market as one cluster of every stock."""
+        maps = [self.tree.stock_clusters(lvl) for lvl in range(1, self.tree.n_levels + 1)]
+        market = (np.zeros(self.n_stocks, dtype=np.int64), np.array([self.top_var]))
+        return tuple(zip(maps, self.zeta2)) + (market,)
+
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        """Gamma v in O(N P), without forming Gamma."""
+        v = np.asarray(v, dtype=float)
+        beta = self.beta.values
+        out = self.xi2 * v
+        for clusters, zeta in self._levels:
+            out += beta * (zeta * np.bincount(clusters, beta * v, minlength=len(zeta)))[clusters]
+        return out
+
+    def solve(self, v: np.ndarray, free: np.ndarray | None = None) -> np.ndarray:
+        """Gamma^-1 v in O(N P), by the Woodbury identity level by level.
+
+        With a boolean mask ``free``, the solve on the principal submatrix
+        Gamma_FF, zero off F: a nested model without some stocks is nested
+        again, so the recursion runs with their betas and entries zeroed.
+        Each level divides by 1 + zeta * lambda >= 1, so clusters without
+        free members need no special case. With ``v = beta`` this is the
+        product formula of the benchmark weights.
+        """
+        beta = self.beta.values
+        x = np.asarray(v, dtype=float) / self.xi2
+        if free is not None:
+            beta = np.where(free, beta, 0.0)
+            x = np.where(free, x, 0.0)
+        g = beta / self.xi2  # Gamma^-1 beta for the levels applied so far
+        for clusters, zeta in self._levels:
+            k = len(zeta)
+            lam = np.bincount(clusters, beta * g, minlength=k)[clusters]
+            s = np.bincount(clusters, beta * x, minlength=k)[clusters]
+            shrink = 1.0 + zeta[clusters] * lam
+            # x - g zeta s / shrink, written so that x = g (v = beta) divides
+            # by the shrink factor exactly
+            x = (x + zeta[clusters] * (lam * x - s * g)) / shrink
+            g = g / shrink
+        return x
 
 
 def build_russian_doll(

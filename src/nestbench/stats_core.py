@@ -7,12 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data_model import ReturnsPanel
-from .errors import (
-    DegenerateBenchmark,
-    DegeneratePortfolioVariance,
-    InputError,
-    InsufficientObservations,
-)
+from .errors import DegenerateBenchmark, InputError, InsufficientObservations
 
 SYMMETRY_RTOL = 1e-12
 
@@ -81,18 +76,3 @@ def serial_betas(panel: ReturnsPanel, bench_returns: np.ndarray) -> RegressionBe
     residuals = panel.values - alpha[:, None] - np.outer(beta, f)
     return RegressionBetas(alpha, beta, residuals)
 
-
-def betas_from_weights(cov: CovarianceMatrix, weights: np.ndarray) -> tuple[np.ndarray, float]:
-    """Betas of every stock against the portfolio ``weights`` holds.
-
-    Returns ``(beta, sigma_f2)`` with ``beta = C w / (w' C w)`` and the
-    portfolio variance ``sigma_f2 = w' C w``.
-    """
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (len(cov.tickers),):
-        raise InputError(f"weights have length {w.shape}, expected {len(cov.tickers)}")
-    cw = cov.values @ w
-    sigma_f2 = float(w @ cw)
-    if sigma_f2 <= 0.0:
-        raise DegeneratePortfolioVariance(f"portfolio variance {sigma_f2} is not positive")
-    return cw / sigma_f2, sigma_f2

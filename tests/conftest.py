@@ -105,10 +105,9 @@ def random_overlay_problem(
 
     rng = np.random.default_rng(seed + 900_000)
     inst = random_instance(seed + 900_000, n_range=n_range, t_range=(80, 160), p_range=(1, 2))
-    cov = assemble_dense(inst.model)
     w_star = benchmark_weights(inst.model).weights
-    signal = rng.normal(0.0, 1.0, inst.panel.n_stocks) * np.sqrt(cov.variances)
-    problem = make_overlay_problem(signal, cov, w_star, band=band, modes=modes)
+    signal = rng.normal(0.0, 1.0, inst.panel.n_stocks) * np.sqrt(assemble_dense(inst.model).variances)
+    problem = make_overlay_problem(signal, inst.model, w_star, band=band, modes=modes)
     first_bind = default_gamma_max(problem) / 100.0
     gamma = first_bind * float(10.0 ** rng.uniform(-0.5, 1.0))
     return problem, gamma

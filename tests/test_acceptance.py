@@ -12,6 +12,13 @@ import numpy as np
 import pytest
 
 from conftest import memberships, random_instance, random_overlay_problem
+from _dense import (
+    DenseCovariance,
+    benchmark_weights_oracle,
+    betas_from_weights,
+    dense_of,
+    general_factor_weights,
+)
 from _reference import reference_weights
 
 from nestbench import (
@@ -21,13 +28,10 @@ from nestbench import (
     ThetaFitConfig,
     assemble_dense,
     benchmark_weights,
-    benchmark_weights_oracle,
-    betas_from_weights,
     build_russian_doll,
     combine,
     default_gamma_max,
     fit_theta,
-    general_factor_weights,
     kkt_check,
     make_overlay_problem,
     optimize_mvo,
@@ -329,7 +333,7 @@ def _grid_best_objective(problem, gamma, points=11):
     if not feasible.any():
         return -np.inf
     w = w[feasible]
-    quad = np.einsum("ij,jk,ik->i", w, problem.cov, w)
+    quad = np.einsum("ij,jk,ik->i", w, dense_of(problem.model), w)
     return float((w @ problem.expected_returns - quad / gamma).max())
 
 
@@ -350,12 +354,12 @@ def test_criterion_7_overlay_optimizer():
         if np.any(result.combined < 0.0):
             failures.append(f"seed {seed}: combined negative")
         if problem.n_stocks <= 6:
-            obj = float(problem.expected_returns @ w - (w @ problem.cov @ w) / gamma)
+            obj = float(problem.expected_returns @ w - (w @ problem.model.matvec(w)) / gamma)
             if obj < _grid_best_objective(problem, gamma) - 1e-6:
                 failures.append(f"seed {seed}: below grid oracle")
         if len(modes) == 2:
             slack = optimize_mvo(problem, gamma / 20.0)  # bounds comfortably slack
-            out = combine(problem.w_star, slack, problem.cov)
+            out = combine(problem.w_star, slack, problem.model)
             if out.rho is not None and abs(out.rho) > 1e-8:
                 failures.append(f"seed {seed}: rho {out.rho:.3e}")
     _report(7, "overlay optimizer", not failures, "; ".join(failures[:3]) or "100 seeded problems")
@@ -371,7 +375,7 @@ def test_criterion_8_golden_section():
         ]
     )
     e = np.array([0.015, -0.001, 0.002, -0.006])
-    problem = make_overlay_problem(e, cov, np.array([0.3, 0.3, 0.2, 0.2]), band=0.5)
+    problem = make_overlay_problem(e, DenseCovariance(cov), np.array([0.3, 0.3, 0.2, 0.2]), band=0.5)
     gamma_max = default_gamma_max(problem) / 10.0
     result = tune_gamma(problem, gamma_max, tol=1e-4)
     grid = np.linspace(gamma_max / 10_000, gamma_max, 10_000)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from _dense import benchmark_weights_oracle, betas_from_weights, general_factor_weights
 from _reference import reference_weights
 from conftest import memberships, panel_with_covariance, random_instance
 
@@ -12,10 +13,7 @@ from nestbench import (
     ThetaFitConfig,
     assemble_dense,
     benchmark_weights,
-    benchmark_weights_oracle,
-    betas_from_weights,
     build_russian_doll,
-    general_factor_weights,
     make_betas,
     tree_from_labels,
 )

@@ -1,4 +1,6 @@
 import csv
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -327,19 +329,63 @@ class TestKeyedInputs:
         assert "ticker,expected_return" in capsys.readouterr().err
 
 
-def test_benchmark_bytes_independent_of_blas_threads(tmp_path):
-    def nestbench_cli(threads, cwd, *argv):
-        subprocess.run([sys.executable, "-m", "nestbench", *argv], cwd=cwd,
-                       env=blas_threads_env(threads), check=True, capture_output=True, timeout=300)
+def _cli_with_threads(threads, cwd, *argv):
+    subprocess.run([sys.executable, "-m", "nestbench", *argv], cwd=cwd,
+                   env=blas_threads_env(threads), check=True, capture_output=True, timeout=300)
 
+
+def test_benchmark_bytes_independent_of_blas_threads(tmp_path):
     fix = tmp_path / "fix"
-    nestbench_cli(1, tmp_path, "synth", "--n", "1200", "--t", "300", "--clusters", "120,12,3",
+    _cli_with_threads(1, tmp_path, "synth", "--n", "1200", "--t", "300", "--clusters", "120,12,3",
                   "--rho", "0.4,0.25,0.1", "--market-rho", "0.05", "--seed", "11", "--out", str(fix))
     # the same relative --out keeps the config echoed into benchmark.json equal
     for threads in (1, 2):
         (tmp_path / f"t{threads}").mkdir()
-        nestbench_cli(threads, tmp_path / f"t{threads}", "benchmark",
+        _cli_with_threads(threads, tmp_path / f"t{threads}", "benchmark",
                       "--returns", str(fix / "returns.csv"),
                       "--classification", str(fix / "classification.csv"), "--out", "out")
     for name in ("weights.csv", "model.json", "benchmark.json"):
         assert _read(tmp_path / "t1" / "out" / name) == _read(tmp_path / "t2" / "out" / name), name
+
+
+def test_overlay_bytes_independent_of_blas_threads(tmp_path):
+    fix = tmp_path / "fix"
+    _cli_with_threads(1, tmp_path, "synth", "--n", "250", "--t", "250", "--clusters", "25,5",
+                      "--rho", "0.4,0.2", "--market-rho", "0.1", "--seed", "1", "--out", str(fix))
+    signal = _write_signal(fix / "returns.csv", tmp_path / "e.csv", jitter=0.01)
+    # the same relative --out keeps the config echoed into overlay.json equal
+    for threads in (1, 2):
+        (tmp_path / f"t{threads}").mkdir()
+        _cli_with_threads(threads, tmp_path / f"t{threads}", "overlay",
+                          "--returns", str(fix / "returns.csv"),
+                          "--classification", str(fix / "classification.csv"),
+                          "--expected-returns", str(signal),
+                          "--constraints", "dollar-neutral,zero-expected-correlation", "--out", "out")
+    for name in ("overlay.csv", "overlay.json"):
+        assert _read(tmp_path / "t1" / "out" / name) == _read(tmp_path / "t2" / "out" / name), name
+
+
+def _load_by_path(*parts):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location("_under_test_" + parts[-1][:-3], os.path.join(root, *parts))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_names_resolve():
+    # perfbench/trace_layers.py wraps these names with getattr; a program
+    # module that stops providing one breaks every traced benchmark run
+    trace_layers = _load_by_path("perfbench", "trace_layers.py")
+    cli = importlib.import_module("nestbench.cli")
+    missing = [f"nestbench.cli.{attr}" for attr, _ in trace_layers._CLI_STAGES if not hasattr(cli, attr)]
+    missing += [f"{module}.{attr}" for module, attr, _ in trace_layers._INNER
+                if not hasattr(importlib.import_module(module), attr)]
+    assert not missing, missing
+
+
+def test_reference_port_loads_without_the_package(monkeypatch):
+    # perfbench/checks.py loads tests/_reference.py in a process that cannot
+    # import nestbench
+    monkeypatch.setitem(sys.modules, "nestbench", None)
+    assert callable(_load_by_path("tests", "_reference.py").reference_weights)

@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_overlay_problem
+from _dense import DenseCovariance, dense_of
 
 import nestbench.overlay
 
@@ -23,7 +24,6 @@ from nestbench.errors import (
     DegenerateRegression,
     InputError,
     LongOnlyViolation,
-    SingularCovariance,
 )
 
 
@@ -31,12 +31,12 @@ def _problem(e, cov, w_star=None, band=0.6, modes=("dollar-neutral",), lower=Non
     e = np.asarray(e, dtype=float)
     n = len(e)
     w_star = np.full(n, 1.0 / n) if w_star is None else np.asarray(w_star, dtype=float)
-    return make_overlay_problem(e, np.asarray(cov, dtype=float), w_star,
+    return make_overlay_problem(e, DenseCovariance(cov), w_star,
                                 band=band, modes=modes, lower=lower, upper=upper)
 
 
 def _objective(problem, gamma, w):
-    return float(problem.expected_returns @ w - (w @ problem.cov @ w) / gamma)
+    return float(problem.expected_returns @ w - (w @ problem.model.matvec(w)) / gamma)
 
 
 def _grid_best(problem, gamma, points=13):
@@ -56,7 +56,7 @@ def _grid_best(problem, gamma, points=13):
     if not feasible.any():
         return -np.inf
     w = w[feasible]
-    quad = np.einsum("ij,jk,ik->i", w, problem.cov, w)
+    quad = np.einsum("ij,jk,ik->i", w, dense_of(problem.model), w)
     return float((w @ problem.expected_returns - quad / gamma).max())
 
 
@@ -94,13 +94,13 @@ class TestResidualize:
 
 class TestBuildConstraints:
     def test_dollar_neutral_only(self):
-        q = build_constraints({"dollar-neutral"}, np.eye(3), np.full(3, 1 / 3))
+        q = build_constraints({"dollar-neutral"}, DenseCovariance(np.eye(3)), np.full(3, 1 / 3))
         np.testing.assert_array_equal(q, np.ones((3, 1)))
 
     def test_zero_expected_correlation_column(self):
         q = build_constraints(
             {"dollar-neutral", "zero-expected-correlation"},
-            np.diag([1.0, 4.0]),
+            DenseCovariance(np.diag([1.0, 4.0])),
             np.array([0.5, 0.5]),
         )
         np.testing.assert_allclose(q[:, 1], [0.5, 2.0], rtol=1e-15)
@@ -109,13 +109,13 @@ class TestBuildConstraints:
         with pytest.raises(DegenerateConstraints):
             build_constraints(
                 {"dollar-neutral", "zero-expected-correlation", "orthogonal-to-benchmark"},
-                np.eye(2),
+                DenseCovariance(np.eye(2)),
                 np.array([0.5, 0.5]),
             )
 
     def test_unknown_mode(self):
         with pytest.raises(InputError):
-            build_constraints({"sector-neutral"}, np.eye(2), np.array([0.5, 0.5]))
+            build_constraints({"sector-neutral"}, DenseCovariance(np.eye(2)), np.array([0.5, 0.5]))
 
 
 class TestProblemValidation:
@@ -123,10 +123,6 @@ class TestProblemValidation:
         with pytest.raises(InputError):
             _problem([0.1, -0.1], np.eye(2),
                      lower=np.array([0.0, 0.0]), upper=np.array([-0.1, 0.1]))
-
-    def test_non_pd_covariance(self):
-        with pytest.raises(SingularCovariance):
-            _problem([0.1, -0.1], np.ones((2, 2)))
 
     def test_bounds_must_straddle_zero(self):
         with pytest.raises(InputError):
@@ -230,6 +226,7 @@ _MODE_SETS = (
     ("dollar-neutral",),
     ("dollar-neutral", "zero-expected-correlation"),
     ("dollar-neutral", "orthogonal-to-benchmark"),
+    ("dollar-neutral", "zero-expected-correlation", "orthogonal-to-benchmark"),
 )
 
 
@@ -243,7 +240,8 @@ def _banded_problem(seed, modes, bands):
     w_star = rng.uniform(0.2, 1.0, n)
     w_star /= w_star.sum()
     e = rng.normal(0.0, 1e-2, n)
-    return make_overlay_problem(e, cov, w_star, lower=-bands * w_star, upper=bands * w_star, modes=modes)
+    return make_overlay_problem(e, DenseCovariance(cov), w_star, lower=-bands * w_star, upper=bands * w_star,
+                                modes=modes)
 
 
 @st.composite
@@ -266,6 +264,13 @@ def _small_problems(draw):
 @example(_banded_problem(166, _MODE_SETS[2], [0.0, 0.0, 0.0, 0.0, 1e-6, 1e-6, 1e-6]))
 # boxes narrower than the bound tolerance, straddling zero
 @example(_banded_problem(372, _MODE_SETS[2], [0.66, 0.0, 6e-13, 0.0, 0.0, 6e-13, 6e-13]))
+# three ill-conditioned constraint columns on three stocks, boxes a few bound
+# tolerances wide: w' = 0 is the only feasible point, and multipliers taken
+# from a system singular to rounding cycled release and clamp until
+# NoConvergence
+@example(_banded_problem(67, _MODE_SETS[3], [1e-11, 3e-11, 0.5746557529603609]))
+@example(_banded_problem(133, _MODE_SETS[3], [1e-11, 1e-11, 1e-11]))
+@example(_banded_problem(185, _MODE_SETS[3], [0.7296676913401973, 3e-11, 3e-11]))
 def test_warm_start_property(problem):
     gammas = default_gamma_max(problem) * np.array([1e-3, 1e-2, 1e-1, 1.0, 10.0])
     cold = [optimize_mvo(problem, g) for g in gammas]
@@ -369,12 +374,12 @@ class TestTuneGamma:
 class TestCombine:
     def test_zero_sleeve(self):
         w_star = np.array([0.5, 0.5])
-        out = combine(w_star, np.zeros(2), np.eye(2))
+        out = combine(w_star, np.zeros(2), DenseCovariance(np.eye(2)))
         np.testing.assert_array_equal(out.weights, w_star)
         assert out.rho is None
 
     def test_hand_orthogonal_sleeve(self):
-        out = combine(np.array([0.5, 0.5]), np.array([0.1, -0.1]), np.eye(2))
+        out = combine(np.array([0.5, 0.5]), np.array([0.1, -0.1]), DenseCovariance(np.eye(2)))
         assert out.rho == pytest.approx(0.0, abs=1e-15)
         assert out.sigma_prime == pytest.approx(0.1 * np.sqrt(2.0), rel=1e-15)
 
@@ -388,16 +393,16 @@ class TestCombine:
         raw = w_star * rng.uniform(-1.0, 1.0, 5)
         sleeve = (z / 2.0) * (raw - w_star * raw.sum())
         assert np.all(np.abs(sleeve) <= z * w_star + 1e-15)
-        out = combine(w_star, sleeve, np.eye(5))
+        out = combine(w_star, sleeve, DenseCovariance(np.eye(5)))
         assert np.all(out.weights >= (1.0 - z) * w_star - 1e-12)
 
     def test_long_only_violation(self):
         with pytest.raises(LongOnlyViolation):
-            combine(np.array([0.5, 0.5]), np.array([-0.6, 0.6]), np.eye(2))
+            combine(np.array([0.5, 0.5]), np.array([-0.6, 0.6]), DenseCovariance(np.eye(2)))
 
     def test_scale_drift_detected(self):
         with pytest.raises(InputError):
-            combine(np.array([0.5, 0.5]), np.array([0.2, 0.2]), np.eye(2))
+            combine(np.array([0.5, 0.5]), np.array([0.2, 0.2]), DenseCovariance(np.eye(2)))
 
 
 class TestCorrelationNeutrality:
@@ -407,7 +412,7 @@ class TestCorrelationNeutrality:
                 seed + 500, modes=("dollar-neutral", "zero-expected-correlation")
             )
             w = optimize_mvo(problem, gamma / 10.0)  # keep bounds slack
-            out = combine(problem.w_star, w, problem.cov)
+            out = combine(problem.w_star, w, problem.model)
             if out.rho is not None:
                 assert abs(out.rho) <= 1e-8
 
@@ -417,8 +422,9 @@ class TestCorrelationNeutrality:
         rng = np.random.default_rng(9)
         problem, _ = random_overlay_problem(31)
         eps = residualize(problem.expected_returns, problem.w_star)
-        sleeve = np.linalg.solve(problem.cov, eps)
-        numer = float(problem.w_star @ problem.cov @ sleeve)
-        sigma_star = np.sqrt(problem.w_star @ problem.cov @ problem.w_star)
-        sigma_prime = np.sqrt(sleeve @ problem.cov @ sleeve)
+        model = problem.model
+        sleeve = model.solve(eps)
+        numer = float(problem.w_star @ model.matvec(sleeve))
+        sigma_star = np.sqrt(problem.w_star @ model.matvec(problem.w_star))
+        sigma_prime = np.sqrt(sleeve @ model.matvec(sleeve))
         assert abs(numer / (sigma_star * sigma_prime)) <= 1e-8

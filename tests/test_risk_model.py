@@ -1,18 +1,27 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import panel_with_covariance, random_instance
+from _dense import DenseCovariance
 
 from nestbench import (
     BetaVector,
+    ClassificationTree,
     ReturnsPanel,
     RussianDollModel,
     ThetaFitConfig,
     assemble_dense,
+    benchmark_weights,
     build_russian_doll,
+    combine,
+    default_gamma_max,
     fit_theta,
+    make_overlay_problem,
     model_from_dict,
     model_to_dict,
+    optimize_mvo,
     tree_from_labels,
 )
 from nestbench.errors import EmptyBlock, InputError, InvalidVariance, NegativeSpecificVariance
@@ -192,6 +201,119 @@ class TestAssembleDense:
         for seed in range(5):
             inst = random_instance(seed + 50, n_range=(6, 30))
             np.linalg.cholesky(assemble_dense(inst.model).values)  # raises if not PD
+
+    def test_rejects_variances_that_break_positive_definiteness(self):
+        # the overlay relies on these checks: it takes the model, not a matrix
+        tree = _two_cluster_tree()
+        xi2 = np.array([0.5, 0.7, 0.9, 1.1])
+        for bad_xi2, zeta2, top_var in (
+            (np.array([0.5, 0.0, 0.9, 1.1]), np.zeros(2), 0.1),
+            (xi2, np.array([0.2, -0.1]), 0.1),
+            (xi2, np.zeros(2), -0.1),
+        ):
+            with pytest.raises(InvalidVariance):
+                self._model(tree, bad_xi2, [zeta2], top_var)
+
+
+def _masks(model, rng):
+    """All free, one free stock, level-1 clusters without a free member,
+    and a random half."""
+    n = model.n_stocks
+    one = np.zeros(n, dtype=bool)
+    one[rng.integers(n)] = True
+    odd_clusters = model.tree.parent_maps[0] % 2 == 1
+    return [None, np.ones(n, dtype=bool), one, odd_clusters, rng.random(n) < 0.5]
+
+
+def _assert_matches_dense(model, v, masks):
+    dense = DenseCovariance(assemble_dense(model))
+
+    def close(actual, expected):
+        np.testing.assert_allclose(actual, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
+
+    close(model.matvec(v), dense.matvec(v))
+    for free in masks:
+        x = model.solve(v, free)
+        if free is None:
+            close(x, dense.solve(v))
+            continue
+        close(x, dense.solve(v, free) if free.any() else np.zeros(model.n_stocks))
+        assert np.all(x[~free] == 0.0)
+
+
+class TestNestedPrimitive:
+    def test_matches_dense_on_fitted_models(self):
+        for seed in range(60):
+            model = random_instance(seed).model
+            rng = np.random.default_rng(seed)
+            _assert_matches_dense(model, rng.normal(size=model.n_stocks), _masks(model, rng))
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(
+        n=st.integers(1, 12),
+        levels=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        zero_zeta=st.lists(st.booleans(), min_size=3, max_size=3),
+        zero_top=st.booleans(),
+    )
+    def test_matches_dense_on_hand_built_models(self, n, levels, seed, zero_zeta, zero_top):
+        # cluster and market variances may be 0, which the fit never returns
+        rng = np.random.default_rng(seed)
+        sizes = [n]
+        maps = []
+        for _ in range(levels):
+            k = int(rng.integers(1, sizes[-1] + 1))
+            maps.append(rng.permutation(np.concatenate([np.arange(k), rng.integers(0, k, sizes[-1] - k)])))
+            sizes.append(k)
+        tickers = tuple(f"S{i}" for i in range(n))
+        names = tuple(tuple(f"L{lvl}_{a}" for a in range(k)) for lvl, k in enumerate(sizes[1:]))
+        tree = ClassificationTree(tickers, names, tuple(maps))
+        zeta2 = tuple(
+            np.zeros(k) if zero_zeta[lvl] else rng.uniform(0.0, 2.0, k) for lvl, k in enumerate(sizes[1:])
+        )
+        model = RussianDollModel(
+            tree=tree,
+            beta=BetaVector(tickers, rng.uniform(0.2, 2.0, n)),
+            xi2=rng.uniform(0.05, 1.0, n),
+            zeta2=zeta2,
+            top_var=0.0 if zero_top else float(rng.uniform(0.0, 2.0)),
+            fitted_cluster_var=tuple(np.ones(k) for k in sizes[1:]),
+            mkt_fac=not zero_top,
+            configs=(DEFAULT,) * (levels + 1),
+        )
+        _assert_matches_dense(model, rng.normal(size=n), _masks(model, rng))
+
+    def test_overlay_allocates_no_dense_covariance(self):
+        import tracemalloc
+
+        n = 2000
+        rng = np.random.default_rng(0)
+        labels = [(f"a{i % 200}", f"b{i % 20}") for i in range(n)]
+        tree = tree_from_labels(tuple(f"S{i}" for i in range(n)), labels)
+        model = RussianDollModel(
+            tree=tree,
+            beta=BetaVector(tree.tickers, rng.uniform(0.5, 1.5, n)),
+            xi2=rng.uniform(0.5, 2.0, n),
+            zeta2=(rng.uniform(0.1, 0.5, 200), rng.uniform(0.1, 0.5, 20)),
+            top_var=0.3,
+            fitted_cluster_var=(np.ones(200), np.ones(20)),
+            mkt_fac=True,
+            configs=(DEFAULT,) * 3,
+        )
+        w_star = benchmark_weights(model).weights
+        signal = rng.normal(0.0, 1.0, n)
+        tracemalloc.start()
+        try:
+            problem = make_overlay_problem(signal, model, w_star,
+                                           modes=("dollar-neutral", "zero-expected-correlation"))
+            gamma = 2.0 * default_gamma_max(problem) / 100.0  # twice the first bind
+            w = optimize_mvo(problem, gamma)
+            combine(problem.w_star, w, model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0 < np.sum((w == problem.lower) | (w == problem.upper)) < n // 10
+        assert peak < n * n * 8
 
 
 class TestScaleBehaviour:

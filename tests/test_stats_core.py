@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from conftest import blas_threads_env
+from _dense import betas_from_weights
 
 from nestbench import (
     CovarianceMatrix,
     ReturnsPanel,
-    betas_from_weights,
     sample_covariance,
     serial_betas,
 )
