@@ -128,13 +128,6 @@ class ClassificationTree:
             m = self.parent_maps[lvl][m]
         return m
 
-    def membership_matrix(self, level: int) -> np.ndarray:
-        """Binary N x K matrix of stock membership at ``level``."""
-        m = self.stock_clusters(level)
-        out = np.zeros((len(self.tickers), self.cluster_counts[level - 1]))
-        out[np.arange(len(m)), m] = 1.0
-        return out
-
 
 @dataclass(frozen=True)
 class BetaVector:

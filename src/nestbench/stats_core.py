@@ -41,11 +41,10 @@ class CovarianceMatrix:
 
 @dataclass(frozen=True)
 class RegressionBetas:
-    """Per-stock intercepts, slopes and residuals of a serial regression."""
+    """Per-stock intercepts and slopes of a serial regression."""
 
     alpha: np.ndarray
     beta: np.ndarray
-    residuals: np.ndarray = field(repr=False)
 
 
 def sample_covariance(panel: ReturnsPanel) -> CovarianceMatrix:
@@ -73,6 +72,5 @@ def serial_betas(panel: ReturnsPanel, bench_returns: np.ndarray) -> RegressionBe
     centered = panel.values - panel.values.mean(axis=1, keepdims=True)
     beta = np.einsum("is,s->i", centered, f_centered) / var_f
     alpha = panel.values.mean(axis=1) - beta * f.mean()
-    residuals = panel.values - alpha[:, None] - np.outer(beta, f)
-    return RegressionBetas(alpha, beta, residuals)
+    return RegressionBetas(alpha, beta)
 

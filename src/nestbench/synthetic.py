@@ -1,8 +1,11 @@
-"""Deterministic synthetic fixtures with planted hierarchical correlation.
+"""Deterministic synthetic fixtures with a planted nested factor model.
 
-Stocks get log-normal volatilities and a block equicorrelation structure
-matching a generated classification tree: pairs sharing a finer cluster are
-more correlated. Everything is driven by one seed.
+Stocks get log-normal volatilities and a classification tree; their returns
+are sums of seeded series, one per cluster at every level plus a market
+series and per-stock noise, so pairs sharing a finer cluster are more
+correlated. That is a nested factor model, kept exactly as the instance's
+``population_model``; no N x N array is formed. Everything is driven by one
+seed.
 """
 
 from __future__ import annotations
@@ -11,19 +14,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import ClassificationTree, ReturnsPanel, tree_from_labels
+from .data_model import BetaVector, ClassificationTree, ReturnsPanel, tree_from_labels
 from .errors import InputError
-from .stats_core import CovarianceMatrix
+from .risk_model import RussianDollModel, ThetaFitConfig
+
+# Stock volatilities are log-normal with these parameters.
+VOL_LOG_MEAN = -3.9
+VOL_LOG_SD = 0.35
 
 
 @dataclass(frozen=True)
 class SyntheticSpec:
     """Shape and strength of the planted structure.
 
-    ``clusters`` and ``rho`` run from the most granular level up;
-    ``market_rho`` applies to pairs sharing no cluster. The correlation
-    ladder must decrease toward coarser levels (and stay nonnegative) for
-    the planted matrix to be positive-definite.
+    ``clusters`` and ``rho`` run from the most granular level up: ``rho[l-1]``
+    is the correlation of two stocks whose finest shared cluster is at level
+    l, and ``market_rho`` that of pairs sharing no cluster. The ladder must
+    not increase toward coarser levels and must stay nonnegative, so that
+    each level carries a nonnegative share of the variance.
     """
 
     n: int
@@ -31,8 +39,6 @@ class SyntheticSpec:
     clusters: tuple[int, ...]
     rho: tuple[float, ...]
     market_rho: float = 0.0
-    vol_log_mean: float = -3.9
-    vol_log_sd: float = 0.35
     seed: int = 0
 
     def __post_init__(self):
@@ -55,54 +61,54 @@ class SyntheticSpec:
             raise InputError("correlations must lie in (-1, 1)")
         if any(ladder[i] < ladder[i + 1] for i in range(len(ladder) - 1)) or ladder[-1] < 0.0:
             raise InputError(f"correlation ladder must be nonincreasing and nonnegative: {ladder}")
-        if self.vol_log_sd < 0.0:
-            raise InputError("vol_log_sd must be nonnegative")
 
 
 @dataclass(frozen=True)
 class SyntheticInstance:
+    """A sampled panel, its tree, and the model the panel was drawn from:
+    betas are the volatilities, so the model's correlations are the ladder."""
+
     panel: ReturnsPanel
     tree: ClassificationTree
-    population_cov: CovarianceMatrix
-    sigma: np.ndarray
+    population_model: RussianDollModel
 
 
 def generate(spec: SyntheticSpec) -> SyntheticInstance:
-    """Sample one instance; identical specs produce identical instances."""
+    """Sample one instance; identical specs produce identical instances at
+    any BLAS thread count, since the O(N T) draw is elementwise."""
     rng = np.random.default_rng(spec.seed)
     tickers = tuple(f"S{i:04d}" for i in range(1, spec.n + 1))
     p = len(spec.clusters)
 
-    assignments = [_balanced_assignment(spec.n, spec.clusters[0], rng)]
-    for lvl in range(1, p):
-        assignments.append(_balanced_assignment(spec.clusters[lvl - 1], spec.clusters[lvl], rng))
-
+    sizes = (spec.n,) + spec.clusters
+    m = np.arange(spec.n)  # stock -> cluster at the level reached
     labels = []
-    for i in range(spec.n):
-        row = []
-        a = assignments[0][i]
-        row.append(f"L1C{a + 1:03d}")
-        for lvl in range(1, p):
-            a = assignments[lvl][a]
-            row.append(f"L{lvl + 1}C{a + 1:03d}")
-        labels.append(tuple(row))
-    tree = tree_from_labels(tickers, labels)
+    for lvl in range(p):
+        m = _balanced_assignment(sizes[lvl], sizes[lvl + 1], rng)[m]
+        labels.append([f"L{lvl + 1}C{a + 1:03d}" for a in m])
+    tree = tree_from_labels(tickers, list(zip(*labels)))
 
-    corr = np.full((spec.n, spec.n), spec.market_rho)
-    for lvl in range(p, 0, -1):
-        composed = tree.stock_clusters(lvl)
-        for a in range(tree.cluster_counts[lvl - 1]):
-            idx = np.flatnonzero(composed == a)
-            corr[np.ix_(idx, idx)] = spec.rho[lvl - 1]
-    np.fill_diagonal(corr, 1.0)
-
-    sigma = rng.lognormal(spec.vol_log_mean, spec.vol_log_sd, spec.n)
-    cov = corr * np.outer(sigma, sigma)
-    chol = np.linalg.cholesky(cov)
-    values = chol @ rng.standard_normal((spec.n, spec.t))
+    sigma = rng.lognormal(VOL_LOG_MEAN, VOL_LOG_SD, spec.n)
+    ladder = spec.rho + (spec.market_rho,)
+    shares = [ladder[lvl] - ladder[lvl + 1] for lvl in range(p)]  # variance per level
+    z = np.sqrt(1.0 - ladder[0]) * rng.standard_normal((spec.n, spec.t))
+    for lvl, k in enumerate(spec.clusters):
+        z += np.sqrt(shares[lvl]) * rng.standard_normal((k, spec.t))[tree.stock_clusters(lvl + 1)]
+    z += np.sqrt(spec.market_rho) * rng.standard_normal(spec.t)
     dates = tuple(f"d{s:04d}" for s in range(1, spec.t + 1))
-    panel = ReturnsPanel(tickers, dates, values)
-    return SyntheticInstance(panel, tree, CovarianceMatrix(tickers, cov), sigma)
+    panel = ReturnsPanel(tickers, dates, sigma[:, None] * z)
+
+    model = RussianDollModel(
+        tree=tree,
+        beta=BetaVector(tickers, sigma),
+        xi2=sigma**2 * (1.0 - ladder[0]),
+        zeta2=tuple(np.full(k, share) for k, share in zip(spec.clusters, shares)),
+        top_var=spec.market_rho,
+        fitted_cluster_var=tuple(np.full(k, ladder[lvl]) for lvl, k in enumerate(spec.clusters)),
+        mkt_fac=spec.market_rho > 0.0,
+        configs=(ThetaFitConfig(),) * (p + 1),
+    )
+    return SyntheticInstance(panel, tree, model)
 
 
 def _balanced_assignment(n_units: int, k: int, rng: np.random.Generator) -> np.ndarray:

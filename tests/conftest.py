@@ -114,8 +114,13 @@ def random_overlay_problem(
 
 
 def memberships(tree: ClassificationTree) -> list[np.ndarray]:
-    """Stock-level binary membership matrices, most granular first."""
-    return [tree.membership_matrix(level) for level in range(1, tree.n_levels + 1)]
+    """Stock-level binary N x K membership matrices, most granular first."""
+    out = []
+    for level in range(1, tree.n_levels + 1):
+        m = np.zeros((len(tree.tickers), tree.cluster_counts[level - 1]))
+        m[np.arange(len(tree.tickers)), tree.stock_clusters(level)] = 1.0
+        out.append(m)
+    return out
 
 
 def blas_threads_env(threads: int) -> dict:

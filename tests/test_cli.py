@@ -335,15 +335,19 @@ def _cli_with_threads(threads, cwd, *argv):
 
 
 def test_benchmark_bytes_independent_of_blas_threads(tmp_path):
-    fix = tmp_path / "fix"
-    _cli_with_threads(1, tmp_path, "synth", "--n", "1200", "--t", "300", "--clusters", "120,12,3",
-                  "--rho", "0.4,0.25,0.1", "--market-rho", "0.05", "--seed", "11", "--out", str(fix))
-    # the same relative --out keeps the config echoed into benchmark.json equal
+    # the same relative --out keeps the config echoed into the sidecars equal
     for threads in (1, 2):
         (tmp_path / f"t{threads}").mkdir()
+        _cli_with_threads(threads, tmp_path / f"t{threads}", "synth", "--n", "1200", "--t", "300",
+                          "--clusters", "120,12,3", "--rho", "0.4,0.25,0.1", "--market-rho", "0.05",
+                          "--seed", "11", "--out", "fix")
+    for name in ("returns.csv", "classification.csv"):
+        assert _read(tmp_path / "t1" / "fix" / name) == _read(tmp_path / "t2" / "fix" / name), name
+    fix = tmp_path / "t1" / "fix"
+    for threads in (1, 2):
         _cli_with_threads(threads, tmp_path / f"t{threads}", "benchmark",
-                      "--returns", str(fix / "returns.csv"),
-                      "--classification", str(fix / "classification.csv"), "--out", "out")
+                          "--returns", str(fix / "returns.csv"),
+                          "--classification", str(fix / "classification.csv"), "--out", "out")
     for name in ("weights.csv", "model.json", "benchmark.json"):
         assert _read(tmp_path / "t1" / "out" / name) == _read(tmp_path / "t2" / "out" / name), name
 

@@ -11,6 +11,7 @@ from nestbench import (
     ClassificationTree,
     ReturnsPanel,
     RussianDollModel,
+    SyntheticSpec,
     ThetaFitConfig,
     assemble_dense,
     benchmark_weights,
@@ -18,6 +19,7 @@ from nestbench import (
     combine,
     default_gamma_max,
     fit_theta,
+    generate,
     make_overlay_problem,
     model_from_dict,
     model_to_dict,
@@ -159,6 +161,58 @@ class TestBuildRussianDoll:
         beta = BetaVector(tree.tickers, np.ones(4))
         with pytest.raises(InputError):
             build_russian_doll(panel, tree, beta)
+
+
+_TRUTH = dict(n=60, clusters=(6, 2), rho=(0.5, 0.3), market_rho=0.1)
+
+
+def _planted_and_limit(seed, t):
+    """A synthetic instance and the fit at its population limit: a panel
+    whose sample covariance is the planted model's, to rounding."""
+    instance = generate(SyntheticSpec(t=t, seed=seed, **_TRUTH))
+    truth = instance.population_model
+    panel = panel_with_covariance(instance.tree.tickers, assemble_dense(truth).values)
+    return instance, build_russian_doll(panel, instance.tree, truth.beta)
+
+
+def _max_rel_error(model, reference):
+    def params(m):
+        return np.concatenate(
+            [m.xi2, *m.zeta2, *m.fitted_cluster_var, [m.top_var], benchmark_weights(m).weights]
+        )
+
+    return float(np.abs(params(model) / params(reference) - 1.0).max())
+
+
+class TestKnownTruth:
+    """The fit against the nested model a synthetic panel was drawn from.
+
+    Only level 1 is recovered exactly at the population limit: each coarser
+    level is fitted on member sums, whose member noise dilutes the planted
+    correlations (theta_2 about 0.270 against 0.3 here)."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_population_limit_recovers_level_one(self, seed):
+        instance, limit = _planted_and_limit(seed, t=2)
+        truth = instance.population_model
+        np.testing.assert_allclose(limit.fitted_cluster_var[0], _TRUTH["rho"][0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(limit.xi2, truth.xi2, rtol=1e-12)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_population_limit_weights_near_planted(self, seed):
+        instance, limit = _planted_and_limit(seed, t=2)
+        expected = benchmark_weights(instance.population_model).weights
+        np.testing.assert_allclose(benchmark_weights(limit).weights, expected, rtol=1e-2)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_sample_fit_approaches_population_limit(self, seed):
+        errors = []
+        for t in (1000, 16000):
+            instance, limit = _planted_and_limit(seed, t)
+            fit = build_russian_doll(instance.panel, instance.tree, instance.population_model.beta)
+            errors.append(_max_rel_error(fit, limit))
+        assert errors[1] < 0.1
+        assert errors[1] < errors[0] / 2
 
 
 class TestAssembleDense:

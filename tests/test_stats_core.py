@@ -74,16 +74,6 @@ class TestSerialBetas:
             cov_rf = sum((values[i, s] - r_mean) * (f[s] - f_mean) for s in range(len(f)))
             assert abs(reg.beta[i] - cov_rf / var_f) <= 1e-12 * abs(reg.beta[i])
 
-    def test_residual_orthogonality(self):
-        rng = np.random.default_rng(3)
-        values = rng.normal(0, 0.02, (6, 30))
-        f = rng.normal(0, 0.015, 30)
-        reg = serial_betas(_panel(values), f)
-        f_centered = f - f.mean()
-        scale = np.abs(reg.residuals).max()
-        assert np.abs(reg.residuals.sum(axis=1)).max() <= 1e-10 * scale
-        assert np.abs(reg.residuals @ f_centered).max() <= 1e-10 * scale
-
     def test_degenerate_benchmark(self):
         with pytest.raises(DegenerateBenchmark):
             serial_betas(_panel([[0.01, 0.02], [0.0, 0.01]]), np.array([0.05, 0.05]))

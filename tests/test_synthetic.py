@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nestbench import SyntheticSpec, generate
+from nestbench import SyntheticSpec, assemble_dense, generate
 from nestbench.errors import InputError
 
 
@@ -39,7 +39,8 @@ def test_planted_within_cluster_correlation_recovered():
 def test_population_cov_matches_plan():
     spec = SyntheticSpec(n=8, t=10, clusters=(2,), rho=(0.5,), market_rho=0.1, seed=0)
     instance = generate(spec)
-    corr = instance.population_cov.values / np.outer(instance.sigma, instance.sigma)
+    sigma = instance.population_model.beta.values
+    corr = assemble_dense(instance.population_model).values / np.outer(sigma, sigma)
     composed = instance.tree.stock_clusters(1)
     for i in range(8):
         for j in range(8):
@@ -72,3 +73,17 @@ def test_every_cluster_populated():
         sizes = [len(m) for m in instance.tree.children(level)]
         assert min(sizes) >= 1
     assert min(len(m) for m in instance.tree.children(1)) >= 2
+
+
+def test_generate_allocates_no_dense_covariance():
+    import tracemalloc
+
+    n = 3000
+    spec = SyntheticSpec(n=n, t=60, clusters=(300, 30), rho=(0.4, 0.2), market_rho=0.05, seed=0)
+    tracemalloc.start()
+    try:
+        generate(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8
