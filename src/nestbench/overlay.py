@@ -35,6 +35,12 @@ _BOUND_TOL = 1e-12
 # count as zero: those constraint combinations vanish on the free rows
 _RANK_TOL = 1e-12
 
+# kkt_check: optimality relative to the gradient scale, feasibility absolute
+_KKT_TOL = 1e-8
+_FEAS_TOL = 1e-10
+_ACTIVE_TOL = 1e-9  # share of the box width
+_GAMMA_MAX_MULTIPLE = 100.0  # default_gamma_max: bracket end over first bind
+
 
 @dataclass(frozen=True)
 class OverlayProblem:
@@ -191,59 +197,51 @@ def residualize(expected_returns: np.ndarray, w_star: np.ndarray, weights: np.nd
     return v * (e - coef * w)
 
 
-def optimize_mvo(
-    problem: OverlayProblem,
-    gamma_prime: float,
-    start: np.ndarray | None = None,
-) -> np.ndarray:
+def optimize_mvo(problem: OverlayProblem, gamma_prime: float) -> np.ndarray:
     """Maximize E'w - (1/gamma') w'Gamma w over the box, subject to Q'w = 0.
 
-    Iterative active-set clamping: solve the equality-constrained quadratic
-    on the free set; while its solution breaks bounds, step toward it from
-    the current feasible point, clamp every coordinate that hits its bound,
-    and re-solve; once feasible, release the active bound with the worst
-    wrong-signed multiplier and repeat until the active set is stable. The
-    stepping keeps the objective monotone, which rules out cycling.
-
-    The search starts at w = 0, or at ``start``: any feasible point, such as
-    the optimum at another gamma' (the feasible set does not depend on
-    gamma'). Coordinates of ``start`` within rounding of a bound are snapped
-    to it and begin active, so a start near the answer leaves only the few
-    bounds that differ to be walked.
+    Primal-dual active-set steps (Hintermueller, Ito and Kunisch, SIAM J.
+    Optim. 13, 2002) from w = 0: solve on the free set, then at once clamp
+    every free coordinate that breaks its box at that bound and release
+    every active bound whose multiplier has the wrong sign. Gamma is not an
+    M-matrix, so if the steps revisit an active set, or stop on one where
+    Q'w = 0 is out of reach, ``_monotone_walk`` solves instead.
     """
     if gamma_prime <= 0.0:
         raise InputError("gamma_prime must be positive")
+    curvature = 2.0 / gamma_prime
+    lower, upper, near, at_lower, at_upper = _cold_start(problem)
+    seen = set()
+    while (key := (at_lower.tobytes(), at_upper.tobytes())) not in seen:
+        seen.add(key)
+        free = ~(at_lower | at_upper)
+        w_fixed = np.where(at_lower, lower, 0.0) + np.where(at_upper, upper, 0.0)
+        w, mu, null = _solve_equality_qp(problem.model, curvature, problem.expected_returns,
+                                         problem.constraints, free, w_fixed)
+        release = _wrong_signs(problem, curvature, w, mu, null, at_lower, at_upper) > 0.0
+        clamp_lo, clamp_hi = free & (w < lower - near), free & (w > upper + near)
+        if (not (release | clamp_lo | clamp_hi).any()
+                and np.abs(_dot(problem.constraints, w)).max() <= _FEAS_TOL):
+            return w
+        at_lower = (at_lower & ~release) | clamp_lo
+        at_upper = (at_upper & ~release) | clamp_hi
+    return _monotone_walk(problem, gamma_prime)
+
+
+def _monotone_walk(problem: OverlayProblem, gamma_prime: float) -> np.ndarray:
+    """Iterative active-set clamping from w = 0: solve the equality-constrained
+    quadratic on the free set; while its solution breaks bounds, step toward
+    it from the current feasible point, clamp every coordinate that hits its
+    bound, and re-solve; once feasible, release the active bound with the
+    worst wrong-signed multiplier and repeat until the active set is stable.
+    The stepping keeps the objective monotone, which rules out cycling."""
     n = problem.n_stocks
     curvature = 2.0 / gamma_prime  # the Hessian is curvature * Gamma
     e = problem.expected_returns
     q = problem.constraints
-    # pinned weights hold at 0, which keeps w = 0 feasible however their
-    # box straddles it
-    pinned = problem.pinned
-    lower = np.where(pinned, 0.0, problem.lower)
-    upper = np.where(pinned, 0.0, problem.upper)
-    # a bound counts as reached within _BOUND_TOL of the box width: an
-    # absolute tolerance would move coordinates of narrow boxes by a good
-    # share of their width on clamping, and that drift breaks Q'w = 0 when
-    # too few coordinates are free to absorb it
-    near = _BOUND_TOL * (upper - lower)
+    lower, upper, near, at_lower, at_upper = _cold_start(problem)
     max_iter = 100 * (n + 1)
-
-    at_lower = pinned.copy()
-    at_upper = np.zeros(n, dtype=bool)
-    if start is None:
-        w = np.zeros(n)  # always feasible: bounds straddle zero and Q'0 = 0
-    else:
-        w = np.array(start, dtype=float)
-        if w.shape != (n,):
-            raise InputError(f"start has shape {w.shape}, expected ({n},)")
-        if np.any(w < lower - _BOUND_TOL) or np.any(w > upper + _BOUND_TOL):
-            raise InputError("start lies outside the bounds")
-        if np.abs(_dot(q, w)).max() > 1e-10:
-            raise InputError("start violates the linear constraints")
-        at_lower |= w - lower <= near
-        at_upper = ~at_lower & (upper - w <= near)
-        w = np.where(at_lower, lower, np.where(at_upper, upper, w))
+    w = np.zeros(n)  # always feasible: bounds straddle zero and Q'0 = 0
     iterations = 0
     while True:
         while True:
@@ -278,24 +276,47 @@ def optimize_mvo(
             w = np.where(hit_lo, lower, w)
             w = np.where(hit_hi, upper, w)
 
-        hw = curvature * problem.model.matvec(w)
-        grad = e - hw
-        if null.shape[1]:
-            # the free rows leave these multipliers open: fit them to the
-            # active rows, so no bound is released for want of a better mu
-            rows = (at_lower | at_upper) & ~pinned
-            fit, *_ = np.linalg.lstsq(q[rows] @ null, grad[rows] - q[rows] @ mu, rcond=None)
-            mu = mu + null @ fit
-        reduced = grad - np.einsum("ij,j->i", q, mu)
-        scale = max(1.0, float(np.abs(e).max()), float(np.abs(hw).max()))
-        releasable_lo = at_lower & ~pinned & (reduced > 1e-11 * scale)
-        releasable_hi = at_upper & ~pinned & (reduced < -1e-11 * scale)
-        if not releasable_lo.any() and not releasable_hi.any():
+        wrong = _wrong_signs(problem, curvature, w, mu, null, at_lower, at_upper)
+        if not wrong.any():
             return w
-        wrong = np.where(releasable_lo | releasable_hi, np.abs(reduced), 0.0)
         worst = int(np.argmax(wrong))
         at_lower[worst] = False
         at_upper[worst] = False
+
+
+def _cold_start(problem: OverlayProblem):
+    """The solvers' bounds, the distance within which each counts as reached,
+    and the lower- and upper-active sets at w = 0.
+
+    Pinned weights hold at 0, which keeps w = 0 feasible however their box
+    straddles it. A bound counts as reached within _BOUND_TOL of the box
+    width: an absolute tolerance would move coordinates of narrow boxes by a
+    good share of their width on clamping, and that drift breaks Q'w = 0
+    when too few coordinates are free to absorb it.
+    """
+    lower = np.where(problem.pinned, 0.0, problem.lower)
+    upper = np.where(problem.pinned, 0.0, problem.upper)
+    near = _BOUND_TOL * (upper - lower)
+    return lower, upper, near, problem.pinned.copy(), np.zeros(problem.n_stocks, dtype=bool)
+
+
+def _wrong_signs(problem, curvature, w, mu, null, at_lower, at_upper):
+    """|reduced gradient| at the active bounds whose multipliers have the
+    wrong sign, which releasing would improve; 0 everywhere else."""
+    e = problem.expected_returns
+    q = problem.constraints
+    hw = curvature * problem.model.matvec(w)
+    grad = e - hw
+    if null.shape[1]:
+        # the free rows leave these multipliers open: fit them to the
+        # active rows, so no bound is released for want of a better mu
+        rows = (at_lower | at_upper) & ~problem.pinned
+        fit, *_ = np.linalg.lstsq(q[rows] @ null, grad[rows] - q[rows] @ mu, rcond=None)
+        mu = mu + null @ fit
+    reduced = grad - np.einsum("ij,j->i", q, mu)
+    tiny = 1e-11 * max(1.0, float(np.abs(e).max()), float(np.abs(hw).max()))
+    wrong = (at_lower & (reduced > tiny)) | (at_upper & (reduced < -tiny))
+    return np.where(wrong & ~problem.pinned, np.abs(reduced), 0.0)
 
 
 def _solve_equality_qp(model, curvature, e, q, free, w_fixed):
@@ -333,19 +354,12 @@ def _dot(u, v):
     return np.einsum("i...,i->...", u, v)
 
 
-def kkt_check(
-    problem: OverlayProblem,
-    gamma_prime: float,
-    w_prime: np.ndarray,
-    tol: float = 1e-8,
-    feas_tol: float = 1e-10,
-    active_tol: float = 1e-9,
-) -> KKTReport:
+def kkt_check(problem: OverlayProblem, gamma_prime: float, w_prime: np.ndarray) -> KKTReport:
     """Verify the optimality certificate of a candidate solution.
 
     On the free set the objective gradient must lie in the constraint span;
     at an upper-active coordinate the reduced gradient must be >= 0, at a
-    lower-active one <= 0. A coordinate is active within ``active_tol`` of
+    lower-active one <= 0. A coordinate is active within _ACTIVE_TOL of
     its box width from a bound, so narrow boxes do not count interior
     coordinates as active; zero-width boxes are pinned and carry no sign.
     """
@@ -355,8 +369,8 @@ def kkt_check(
     scale = max(1.0, float(np.abs(grad).max()))
     width = problem.upper - problem.lower
     pinned = problem.pinned
-    at_lower = pinned | (w - problem.lower <= active_tol * width)
-    at_upper = pinned | (problem.upper - w <= active_tol * width)
+    at_lower = pinned | (w - problem.lower <= _ACTIVE_TOL * width)
+    at_upper = pinned | (problem.upper - w <= _ACTIVE_TOL * width)
     free = ~(at_lower | at_upper)
     fit = free if free.any() else ~pinned
     mu, *_ = np.linalg.lstsq(q[fit, :], grad[fit], rcond=None)
@@ -370,10 +384,10 @@ def kkt_check(
         np.maximum(np.maximum(problem.lower - w, w - problem.upper), 0.0).max()
     )
     ok = (
-        stationarity <= tol * scale
-        and multiplier_violation <= tol * scale
-        and eq_residual <= feas_tol
-        and bound_violation <= feas_tol
+        stationarity <= _KKT_TOL * scale
+        and multiplier_violation <= _KKT_TOL * scale
+        and eq_residual <= _FEAS_TOL
+        and bound_violation <= _FEAS_TOL
     )
     return KKTReport(
         ok,
@@ -395,10 +409,10 @@ def sharpe_ratio(problem: OverlayProblem, w_prime: np.ndarray) -> float:
     return float(_dot(problem.expected_returns, w)) / math.sqrt(variance)
 
 
-def default_gamma_max(problem: OverlayProblem, multiple: float = 100.0) -> float:
+def default_gamma_max(problem: OverlayProblem) -> float:
     """Bracket upper end: the bound-free sleeve grows linearly with the
-    risk-aversion scale, so take ``multiple`` times the scale at which the
-    first bound binds."""
+    risk-aversion scale, so take _GAMMA_MAX_MULTIPLE times the scale at
+    which the first bound binds."""
     free = np.ones(problem.n_stocks, dtype=bool)
     direction, *_ = _solve_equality_qp(problem.model, 2.0, problem.expected_returns,
                                       problem.constraints, free, np.zeros(problem.n_stocks))
@@ -409,7 +423,7 @@ def default_gamma_max(problem: OverlayProblem, multiple: float = 100.0) -> float
     if not blocking.any():
         return 1.0
     bound = np.where(rising, problem.upper, problem.lower)
-    return multiple * float((bound[blocking] / direction[blocking]).min())
+    return _GAMMA_MAX_MULTIPLE * float((bound[blocking] / direction[blocking]).min())
 
 
 def tune_gamma(
@@ -419,10 +433,11 @@ def tune_gamma(
 ) -> OverlayResult:
     """Golden-section search of the combined Sharpe ratio over (0, gamma_max].
 
-    Ties keep the left interval, so a flat curve walks toward small scales
-    and the final bracket midpoint is returned. If the right edge never
-    moves the curve is still rising at gamma_max: the result is gamma_max
-    with the saturation flag set.
+    The search stops once the bracket is narrower than ``tol`` times
+    gamma_max. Ties keep the left interval, so a flat curve walks toward
+    small scales and the final bracket midpoint is returned. If the right
+    edge never moves the curve is still rising at gamma_max: the result is
+    gamma_max with the saturation flag set.
     """
     if gamma_max is None:
         gamma_max = default_gamma_max(problem)
@@ -435,10 +450,7 @@ def tune_gamma(
 
     def probe(gamma: float) -> float:
         if gamma not in cache:
-            # every probe shares the feasible set, so the nearest solved
-            # probe's optimum is a start that already holds most active bounds
-            nearest = min(cache, key=lambda g: abs(g - gamma), default=None)
-            w = optimize_mvo(problem, gamma, start=None if nearest is None else cache[nearest][0])
+            w = optimize_mvo(problem, gamma)
             cache[gamma] = (w, sharpe_ratio(problem, w))
         return cache[gamma][1]
 
@@ -447,7 +459,7 @@ def tune_gamma(
     x2 = a + INV_GOLDEN * (b - a)
     f1, f2 = probe(x1), probe(x2)
     right_edge_moved = False
-    while b - a > tol * max(b, 1e-300):
+    while b - a > tol * gamma_max:
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + INV_GOLDEN * (b - a)
@@ -497,6 +509,9 @@ def combine(w_star: np.ndarray, w_prime: np.ndarray, model: RussianDollModel) ->
     """
     w_star = np.asarray(w_star, dtype=float)
     w_prime = np.asarray(w_prime, dtype=float)
+    broken = np.flatnonzero(~np.isfinite(w_prime))
+    if broken.size:
+        raise InputError(f"sleeve weight of stock {int(broken[0])} is not finite")
     total = w_star + w_prime
     if np.any(total < -1e-12):
         bad = int(np.argmin(total))

@@ -183,6 +183,26 @@ class TestOverlay:
         sidecar = json.loads((out / "overlay.json").read_text())
         assert sidecar["sharpe_opt"] == 0.0
 
+    def test_zero_signal_under_correlation_constraint_writes_finite_rows(self, tmp_path):
+        fix = _synth(tmp_path)
+        signal = _write_signal(fix / "returns.csv", tmp_path / "e.csv", value="0.0")
+        out = tmp_path / "ov"
+        code = run(
+            "overlay", "--returns", str(fix / "returns.csv"),
+            "--classification", str(fix / "classification.csv"),
+            "--expected-returns", str(signal),
+            "--constraints", "dollar-neutral,zero-expected-correlation",
+            "--out", str(out),
+        )
+        assert code == 0
+        rows = list(csv.DictReader(open(out / "overlay.csv")))
+        np.testing.assert_array_equal([float(r["w_prime"]) for r in rows], 0.0)
+        np.testing.assert_array_equal([float(r["w_combined"]) for r in rows],
+                                      [float(r["w_star"]) for r in rows])
+        sidecar = json.loads((out / "overlay.json").read_text())
+        assert sidecar["sharpe_opt"] == 0.0
+        assert 0.0 < sidecar["gamma_prime_opt"] < 1.0
+
     def test_planted_signal_improves_sharpe(self, tmp_path):
         fix = _synth(tmp_path)
         signal = _write_signal(fix / "returns.csv", tmp_path / "e.csv", jitter=0.01)

@@ -7,8 +7,11 @@ from conftest import random_overlay_problem
 from _dense import DenseCovariance, dense_of
 
 import nestbench.overlay
+from nestbench.overlay import _monotone_walk
+from nestbench.synthetic import SyntheticSpec, generate
 
 from nestbench import (
+    benchmark_weights,
     build_constraints,
     combine,
     default_gamma_max,
@@ -197,29 +200,35 @@ class TestOptimizeMvo:
             np.testing.assert_allclose(w, 0.0, rtol=0, atol=1e-15)
             assert kkt_check(problem, gamma, w).ok
 
+    def test_fallback_to_monotone_walk(self, monkeypatch):
+        # the primal-dual steps revisit an active set at 0.1 gamma_max and
+        # settle where Q'w = 0 is out of reach at 1 and 10 gamma_max
+        problem = _banded_problem(172, _MODE_SETS[2], [0.449, 0.768, 0.89])
+        walks = []
+
+        def counted(*args):
+            walks.append(1)
+            return _monotone_walk(*args)
+
+        monkeypatch.setattr(nestbench.overlay, "_monotone_walk", counted)
+        for gamma in default_gamma_max(problem) * np.array([0.1, 1.0, 10.0]):
+            walks.clear()
+            w = optimize_mvo(problem, gamma)
+            assert walks == [1]
+            assert kkt_check(problem, gamma, w).ok
+
 
 class TestWarmStart:
     def test_matches_cold_solve(self):
+        # the primal-dual steps against the cold monotone walk
         for seed in range(20):
             modes = ("dollar-neutral",) if seed % 2 else ("dollar-neutral", "zero-expected-correlation")
             problem, gamma = random_overlay_problem(seed, modes=modes)
-            cold = optimize_mvo(problem, gamma)
-            for other in (gamma / 3.0, 3.0 * gamma):
-                start = optimize_mvo(problem, other)
-                warm = optimize_mvo(problem, gamma, start=start)
-                np.testing.assert_allclose(warm, cold, rtol=0, atol=1e-12 * np.abs(cold).max())
-                assert kkt_check(problem, gamma, warm).ok, (seed, other)
-
-    def test_invalid_start(self):
-        problem, gamma = random_overlay_problem(0, modes=("dollar-neutral", "zero-expected-correlation"))
-        n = problem.n_stocks
-        off_box = np.zeros(n)
-        off_box[0], off_box[1] = 2.0 * problem.upper[0], -2.0 * problem.upper[0]
-        tilted = np.zeros(n)
-        tilted[0] = 0.5 * problem.upper[0]
-        for start in (off_box, tilted, np.zeros(n + 1), np.zeros((n, 1))):
-            with pytest.raises(InputError):
-                optimize_mvo(problem, gamma, start=start)
+            for g in (gamma, gamma / 3.0, 3.0 * gamma):
+                walked = _monotone_walk(problem, g)
+                w = optimize_mvo(problem, g)
+                np.testing.assert_allclose(w, walked, rtol=0, atol=1e-12 * np.abs(walked).max())
+                assert kkt_check(problem, g, w).ok, (seed, g)
 
 
 _MODE_SETS = (
@@ -271,14 +280,13 @@ def _small_problems(draw):
 @example(_banded_problem(67, _MODE_SETS[3], [1e-11, 3e-11, 0.5746557529603609]))
 @example(_banded_problem(133, _MODE_SETS[3], [1e-11, 1e-11, 1e-11]))
 @example(_banded_problem(185, _MODE_SETS[3], [0.7296676913401973, 3e-11, 3e-11]))
-def test_warm_start_property(problem):
-    gammas = default_gamma_max(problem) * np.array([1e-3, 1e-2, 1e-1, 1.0, 10.0])
-    cold = [optimize_mvo(problem, g) for g in gammas]
-    for i, gamma in enumerate(gammas):
-        assert kkt_check(problem, gamma, cold[i]).ok
-        warm = optimize_mvo(problem, gamma, start=cold[i - 1])
-        np.testing.assert_allclose(warm, cold[i], rtol=0, atol=1e-10)
-        assert kkt_check(problem, gamma, warm).ok
+# the primal-dual steps fall back to the walk (test_fallback_to_monotone_walk)
+@example(_banded_problem(172, _MODE_SETS[2], [0.449, 0.768, 0.89]))
+def test_active_set_property(problem):
+    for gamma in default_gamma_max(problem) * np.array([1e-3, 1e-2, 1e-1, 1.0, 10.0]):
+        w = optimize_mvo(problem, gamma)
+        assert kkt_check(problem, gamma, w).ok
+        np.testing.assert_allclose(w, _monotone_walk(problem, gamma), rtol=0, atol=1e-10)
 
 
 def _counting_kkt(monkeypatch):
@@ -346,23 +354,47 @@ class TestTuneGamma:
             assert abs(result.w_prime.sum()) <= 1e-10
 
     def test_warm_started_probes_match_cold_search(self, monkeypatch):
-        optimize = nestbench.overlay.optimize_mvo
+        # the search on primal-dual probes against the search on walked probes
         for seed in range(6):
             problem, _ = random_overlay_problem(seed, n_range=(50, 60))
             with monkeypatch.context() as patch:
-                cold_calls = _counting_kkt(patch)
-                patch.setattr(nestbench.overlay, "optimize_mvo",
-                              lambda problem, gamma, start=None: optimize(problem, gamma))
-                cold = tune_gamma(problem)
+                patch.setattr(nestbench.overlay, "optimize_mvo", _monotone_walk)
+                walked = tune_gamma(problem)
+            result = tune_gamma(problem)
+            assert result.gamma_prime == walked.gamma_prime
+            assert result.bracket_saturated == walked.bracket_saturated
+            assert result.active_lower == walked.active_lower
+            assert result.active_upper == walked.active_upper
+            np.testing.assert_allclose(result.w_prime, walked.w_prime, rtol=0, atol=1e-12)
+
+    def test_steps_per_probe_do_not_grow_with_n(self, monkeypatch):
+        # most bounds bind at the tuned scale; the monotone walk would take
+        # one step per active bound
+        for n in (200, 2000):
+            model = generate(SyntheticSpec(n=n, t=10, clusters=(n // 10, n // 100), rho=(0.5, 0.3),
+                                           market_rho=0.1, seed=0)).population_model
+            signal = 0.05 * model.beta.values * np.random.default_rng(2).standard_normal(n)
+            problem = make_overlay_problem(signal, model, benchmark_weights(model).weights,
+                                           modes=("dollar-neutral", "zero-expected-correlation"))
             with monkeypatch.context() as patch:
-                warm_calls = _counting_kkt(patch)
-                warm = tune_gamma(problem)
-            assert warm.gamma_prime == cold.gamma_prime
-            assert warm.bracket_saturated == cold.bracket_saturated
-            assert warm.active_lower == cold.active_lower
-            assert warm.active_upper == cold.active_upper
-            np.testing.assert_allclose(warm.w_prime, cold.w_prime, rtol=0, atol=1e-12)
-            assert 4 * len(warm_calls) <= len(cold_calls), (seed, len(warm_calls), len(cold_calls))
+                calls = _counting_kkt(patch)
+                result = tune_gamma(problem)
+            probes = len(result.sharpe_curve) - 1
+            assert len(result.active_lower) + len(result.active_upper) > 0.9 * n
+            assert len(calls) <= 12 * probes, (n, len(calls), probes)
+
+    def test_zero_signal_stays_finite_under_correlation_constraint(self):
+        # the bracket must not shrink toward gamma' = 0, where the curvature
+        # 2 / gamma' overflows
+        modes = ("dollar-neutral", "zero-expected-correlation")
+        for seed in range(3):
+            base, _ = random_overlay_problem(seed, n_range=(10, 12), modes=modes)
+            problem = make_overlay_problem(np.zeros(base.n_stocks), base.model, base.w_star, modes=modes)
+            result = tune_gamma(problem)
+            np.testing.assert_array_equal(result.w_prime, 0.0)
+            assert result.sharpe_opt == 0.0
+            assert 0.0 < result.gamma_prime < 1.0
+            assert len(result.sharpe_curve) <= 25
 
     def test_sharpe_zero_is_benchmark_sharpe(self):
         problem, _ = random_overlay_problem(5)
@@ -403,6 +435,10 @@ class TestCombine:
     def test_scale_drift_detected(self):
         with pytest.raises(InputError):
             combine(np.array([0.5, 0.5]), np.array([0.2, 0.2]), DenseCovariance(np.eye(2)))
+
+    def test_non_finite_sleeve_rejected(self):
+        with pytest.raises(InputError, match="stock 1 "):
+            combine(np.full(3, 1.0 / 3.0), np.array([0.1, np.nan, -0.1]), DenseCovariance(np.eye(3)))
 
 
 class TestCorrelationNeutrality:
