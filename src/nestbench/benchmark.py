@@ -7,13 +7,12 @@ construction helpers live here too.
 
 from __future__ import annotations
 
-import csv
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import BetaVector, ReturnsPanel
+from .data_model import BetaVector, ReturnsPanel, write_csv
 from .errors import DegenerateModel, InputError, InvalidBeta
 from .risk_model import RussianDollModel
 from .stats_core import serial_betas
@@ -119,28 +118,9 @@ def make_betas(
 
 def write_weights_csv(path: str | os.PathLike, result: BenchmarkResult, model: RussianDollModel) -> None:
     """Weights output: ticker, weight, beta, specific variance, cluster factor."""
-    g0 = model.tree.parent_maps[0]
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["ticker", "weight", "beta", "xi2", "gamma_cluster"])
-        for i, ticker in enumerate(result.tickers):
-            writer.writerow(
-                [
-                    ticker,
-                    repr(float(result.weights[i])),
-                    repr(float(model.beta.values[i])),
-                    repr(float(model.xi2[i])),
-                    repr(float(result.gamma[g0[i]])),
-                ]
-            )
-
-
-def load_weights_csv(path: str | os.PathLike) -> tuple[tuple[str, ...], np.ndarray]:
-    """Read back the ticker and weight columns of a weights CSV."""
-    with open(path, newline="", encoding="utf-8") as handle:
-        rows = list(csv.reader(handle))
-    if not rows or rows[0][:2] != ["ticker", "weight"]:
-        raise InputError(f"{path}: expected a weights CSV header")
-    tickers = tuple(row[0] for row in rows[1:])
-    weights = np.array([float(row[1]) for row in rows[1:]])
-    return tickers, weights
+    write_csv(
+        path,
+        ("ticker", "weight", "beta", "xi2", "gamma_cluster"),
+        (result.tickers, result.weights, model.beta.values, model.xi2,
+         result.gamma[model.tree.parent_maps[0]]),
+    )

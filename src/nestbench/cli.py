@@ -9,8 +9,6 @@ error, 4 optimizer non-convergence.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import os
 import sys
 
@@ -20,19 +18,21 @@ from .benchmark import (
     BenchmarkResult,
     BetaSpec,
     benchmark_weights,
-    load_weights_csv,
     make_betas,
     write_weights_csv,
 )
 from .data_model import (
-    _read_csv,
     load_classification_csv,
     load_returns_csv,
+    read_json,
+    read_keyed_csv,
     validate_tree,
     write_classification_csv,
+    write_csv,
+    write_json,
     write_returns_csv,
 )
-from .errors import InputError, MissingInputFile, ModelError, NoConvergence
+from .errors import InputError, ModelError, NoConvergence
 from .overlay import make_overlay_problem, residualize, tune_gamma
 from .risk_model import ThetaFitConfig, build_russian_doll, save_model
 from .risk_model import assemble_dense  # noqa: F401  (perfbench/trace_layers.py wraps this name here)
@@ -59,7 +59,7 @@ def main(argv=None) -> int:
     except ModelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MODEL
-    except (InputError, OSError, json.JSONDecodeError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
@@ -167,10 +167,7 @@ def _merge_config(args, defaults: dict) -> dict:
     merged = dict(defaults)
     config_path = getattr(args, "config", None)
     if config_path:
-        if not os.path.exists(config_path):
-            raise MissingInputFile(config_path)
-        with open(config_path, encoding="utf-8") as handle:
-            loaded = json.load(handle)
+        loaded = read_json(config_path)
         if not isinstance(loaded, dict):
             raise InputError(f"{config_path}: config must be a JSON object")
         for key, value in loaded.items():
@@ -216,7 +213,7 @@ def _resolve_beta(cfg: dict, panel):
 
 
 def _load_index_returns(path, panel) -> np.ndarray:
-    rows = _read_keyed_csv(path, ("date", "value"))
+    rows = read_keyed_csv(path, ("date", "value"))
     if len(rows) != panel.n_periods:
         raise InputError(f"{path}: {len(rows)} rows, expected {panel.n_periods} periods")
     for (date, _), expected in zip(rows, panel.dates):
@@ -226,25 +223,11 @@ def _load_index_returns(path, panel) -> np.ndarray:
 
 
 def _load_ticker_values(path, panel, column: str) -> np.ndarray:
-    table = dict(_read_keyed_csv(path, ("ticker", column)))
+    table = dict(read_keyed_csv(path, ("ticker", column)))
     missing = [t for t in panel.tickers if t not in table]
     if missing:
         raise InputError(f"{path}: missing {column} for {missing[:5]}")
     return np.array([table[t] for t in panel.tickers])
-
-
-def _read_keyed_csv(path, header: tuple[str, str]) -> list[tuple[str, float]]:
-    """Rows of a two-column ``key,value`` CSV, in file order."""
-    rows = _read_csv(path)
-    if not rows or tuple(c.lower() for c in rows[0][:2]) != header:
-        raise InputError(f"{path}: expected header '{','.join(header)}'")
-    pairs = []
-    for row in rows[1:]:
-        try:
-            pairs.append((row[0], float(row[1])))
-        except (IndexError, ValueError):
-            raise InputError(f"{path}: non-numeric {header[1]} for {row[0]!r}") from None
-    return pairs
 
 
 def cmd_benchmark(args) -> int:
@@ -268,9 +251,9 @@ def cmd_benchmark(args) -> int:
         "cluster_counts": list(tree.cluster_counts),
         "min_weight": float(result.weights.min()),
         "max_weight": float(result.weights.max()),
-        "config": _echo(cfg),
+        "config": cfg,
     }
-    _write_json(os.path.join(outdir, "benchmark.json"), sidecar)
+    write_json(os.path.join(outdir, "benchmark.json"), sidecar)
     print(
         f"benchmark: N={panel.n_stocks} P={tree.n_levels} K={tree.cluster_counts} "
         f"sigma_F2={result.sigma_f2:.6g} weights in [{result.weights.min():.6g}, "
@@ -285,9 +268,10 @@ def cmd_overlay(args) -> int:
     )
     panel, tree, model = _build_model(cfg)
     if cfg.get("weights"):
-        tickers, w_star = load_weights_csv(cfg["weights"])
-        if tickers != panel.tickers:
-            raise InputError("weights CSV tickers do not match the returns panel")
+        rows = read_keyed_csv(cfg["weights"], ("ticker", "weight"))
+        if tuple(ticker for ticker, _ in rows) != panel.tickers:
+            raise InputError(f"{cfg['weights']}: tickers do not match the returns panel")
+        w_star = np.array([weight for _, weight in rows])
     else:
         w_star = benchmark_weights(model).weights
     if not cfg.get("expected_returns"):
@@ -312,18 +296,11 @@ def cmd_overlay(args) -> int:
     result = tune_gamma(problem, None if gamma_max is None else float(gamma_max), tol=float(cfg["tol"]))
 
     outdir = _ensure_outdir(cfg["out"])
-    with open(os.path.join(outdir, "overlay.csv"), "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["ticker", "w_star", "w_prime", "w_combined"])
-        for i, ticker in enumerate(panel.tickers):
-            writer.writerow(
-                [
-                    ticker,
-                    repr(float(problem.w_star[i])),
-                    repr(float(result.w_prime[i])),
-                    repr(float(result.combined[i])),
-                ]
-            )
+    write_csv(
+        os.path.join(outdir, "overlay.csv"),
+        ("ticker", "w_star", "w_prime", "w_combined"),
+        (panel.tickers, problem.w_star, result.w_prime, result.combined),
+    )
     sidecar = {
         "gamma_prime_opt": result.gamma_prime,
         "sharpe_zero": result.sharpe_zero,
@@ -333,9 +310,9 @@ def cmd_overlay(args) -> int:
         "active_bounds": len(result.active_lower) + len(result.active_upper),
         "constraint_modes": list(modes),
         "eq_residual": result.eq_residual,
-        "config": _echo(cfg),
+        "config": cfg,
     }
-    _write_json(os.path.join(outdir, "overlay.json"), sidecar)
+    write_json(os.path.join(outdir, "overlay.json"), sidecar)
     print(
         f"overlay: gamma'={result.gamma_prime:.6g} S(0)={result.sharpe_zero:.6g} "
         f"S(opt)={result.sharpe_opt:.6g} saturated={result.bracket_saturated} "
@@ -360,7 +337,7 @@ def cmd_synth(args) -> int:
     outdir = _ensure_outdir(cfg["out"])
     write_returns_csv(instance.panel, os.path.join(outdir, "returns.csv"))
     write_classification_csv(instance.tree, os.path.join(outdir, "classification.csv"))
-    _write_json(os.path.join(outdir, "synth.json"), {"config": _echo(cfg)})
+    write_json(os.path.join(outdir, "synth.json"), {"config": cfg})
     print(
         f"synth: N={spec.n} T={spec.t} clusters={spec.clusters} rho={spec.rho} "
         f"seed={spec.seed} -> {outdir}"
@@ -375,12 +352,8 @@ def cmd_betas(args) -> int:
     panel = load_returns_csv(cfg["returns"])
     beta = _resolve_beta(cfg, panel)
     outdir = _ensure_outdir(cfg["out"])
-    with open(os.path.join(outdir, "betas.csv"), "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["ticker", "beta"])
-        for ticker, value in zip(panel.tickers, beta.values):
-            writer.writerow([ticker, repr(float(value))])
-    _write_json(os.path.join(outdir, "betas.json"), {"config": _echo(cfg)})
+    write_csv(os.path.join(outdir, "betas.csv"), ("ticker", "beta"), (panel.tickers, beta.values))
+    write_json(os.path.join(outdir, "betas.json"), {"config": cfg})
     print(f"betas: N={panel.n_stocks} mode={cfg['beta_mode']}")
     return EXIT_OK
 
@@ -406,16 +379,6 @@ def _ensure_outdir(path) -> str:
         raise InputError("missing output directory (--out)")
     os.makedirs(path, exist_ok=True)
     return str(path)
-
-
-def _echo(cfg: dict) -> dict:
-    return {k: v for k, v in sorted(cfg.items())}
-
-
-def _write_json(path, payload) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
 
 
 if __name__ == "__main__":

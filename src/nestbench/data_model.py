@@ -1,13 +1,18 @@
-"""Labeled return panels, multilevel classification trees, and CSV ingestion.
+"""Labeled return panels, multilevel classification trees, and every file
+format the package reads or writes.
 
 The ticker order of the returns panel is canonical: every downstream vector
 and matrix is aligned to it. Classification levels are stored most granular
 first (level 1), with parent maps linking each level to the next coarser one.
+No other module opens a file: they go through ``read_keyed_csv``,
+``write_csv``, ``read_json`` and ``write_json``.
 """
 
 from __future__ import annotations
 
 import csv
+import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -255,24 +260,14 @@ def tree_from_labels(tickers, labels) -> ClassificationTree:
 
 def write_returns_csv(panel: ReturnsPanel, path: str | os.PathLike) -> None:
     """Write the panel back to its CSV form (inverse of the loader)."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["ticker"] + list(panel.dates))
-        for i, ticker in enumerate(panel.tickers):
-            writer.writerow([ticker] + [repr(float(x)) for x in panel.values[i]])
+    write_csv(path, ("ticker",) + panel.dates, (panel.tickers, *panel.values.T))
 
 
 def write_classification_csv(tree: ClassificationTree, path: str | os.PathLike) -> None:
     """Write the tree back to its CSV form (inverse of the loader)."""
-    composed = [tree.stock_clusters(lvl) for lvl in range(1, tree.n_levels + 1)]
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["ticker"] + [f"level{lvl}" for lvl in range(1, tree.n_levels + 1)])
-        for i, ticker in enumerate(tree.tickers):
-            writer.writerow(
-                [ticker]
-                + [tree.level_names[lvl][composed[lvl][i]] for lvl in range(tree.n_levels)]
-            )
+    levels = range(1, tree.n_levels + 1)
+    labels = [np.asarray(tree.level_names[lvl - 1])[tree.stock_clusters(lvl)] for lvl in levels]
+    write_csv(path, ("ticker", *(f"level{lvl}" for lvl in levels)), (tree.tickers, *labels))
 
 
 def validate_tree(tree: ClassificationTree, panel: ReturnsPanel) -> list[SingletonCluster]:
@@ -294,8 +289,61 @@ def validate_tree(tree: ClassificationTree, panel: ReturnsPanel) -> list[Singlet
     return warnings
 
 
+def read_keyed_csv(path, header: tuple[str, str]) -> list[tuple[str, float]]:
+    """Rows of a ``key,value`` CSV in file order. The header matches
+    case-insensitively, further columns are ignored, and a missing,
+    non-numeric or non-finite value is an ``InputError`` naming the key."""
+    rows = _read_csv(path)
+    if not rows or tuple(c.lower() for c in rows[0][:2]) != header:
+        raise InputError(f"{path}: expected header '{','.join(header)}'")
+    pairs = []
+    for row in rows[1:]:
+        try:
+            value = float(row[1])
+        except (IndexError, ValueError):
+            raise InputError(f"{path}: non-numeric {header[1]} for {row[0]!r}") from None
+        if not math.isfinite(value):
+            raise InputError(f"{path}: non-finite {header[1]} for {row[0]!r}")
+        pairs.append((row[0], value))
+    return pairs
+
+
+def write_csv(path, header, columns) -> None:
+    """Write equal-length ``columns`` under ``header``, one row per entry.
+    Numeric columns are written as ``repr(float)``, so they read back
+    exactly; label columns are written as given."""
+    cells = [  # lazy, so a wide panel streams row by row
+        map(float.__repr__, np.asarray(column, dtype=float)) if np.asarray(column).dtype.kind in "biuf" else column
+        for column in columns
+    ]
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(zip(*cells, strict=True))
+
+
+def read_json(path):
+    """Parsed JSON; a missing file or malformed JSON is an ``InputError``."""
+    if not os.path.exists(path):
+        raise MissingInputFile(path)
+    with open(path, encoding="utf-8") as handle:
+        try:
+            return json.load(handle)
+        except ValueError as exc:
+            raise InputError(f"{path}: not valid JSON ({exc})") from None
+
+
+def write_json(path, payload) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+
+
 def _read_csv(path) -> list[list[str]]:
     if not os.path.exists(path):
         raise MissingInputFile(path)
     with open(path, newline="", encoding="utf-8") as handle:
-        return [row for row in csv.reader(handle) if row]
+        try:
+            return [row for row in csv.reader(handle) if row]
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from None

@@ -67,6 +67,11 @@ class OverlayProblem:
                 raise InputError(f"{name} has shape {arr.shape}, expected {(n,)}")
         if q.ndim != 2 or q.shape[0] != n or q.shape[1] < 1:
             raise InputError(f"constraint matrix has shape {q.shape}, expected ({n}, p)")
+        _require_finite("expected return", e)
+        _require_finite("benchmark weight", w_star)
+        nan_bound = np.flatnonzero(np.isnan(lower) | np.isnan(upper))
+        if nan_bound.size:
+            raise InputError(f"bound of stock {int(nan_bound[0])} is NaN")
         if np.any(w_star <= 0.0):
             raise InputError("benchmark weights must be strictly positive")
         if abs(w_star.sum() - 1.0) > 1e-8:
@@ -135,6 +140,12 @@ class OverlayResult:
     eq_residual: float
 
 
+def _require_finite(name: str, values: np.ndarray) -> None:
+    broken = np.flatnonzero(~np.isfinite(values))
+    if broken.size:
+        raise InputError(f"{name} of stock {int(broken[0])} is not finite")
+
+
 def build_constraints(modes, model: RussianDollModel, w_star: np.ndarray) -> np.ndarray:
     """Assemble the constraint matrix for the requested neutrality modes.
 
@@ -170,6 +181,7 @@ def make_overlay_problem(
     """Normalize the benchmark, default the bounds to a percentage band of
     it, assemble constraints, and validate the lot."""
     w = np.asarray(w_star, dtype=float)
+    _require_finite("benchmark weight", w)
     if np.any(w <= 0.0):
         raise InputError("benchmark weights must be strictly positive")
     w = w / w.sum()
@@ -509,9 +521,7 @@ def combine(w_star: np.ndarray, w_prime: np.ndarray, model: RussianDollModel) ->
     """
     w_star = np.asarray(w_star, dtype=float)
     w_prime = np.asarray(w_prime, dtype=float)
-    broken = np.flatnonzero(~np.isfinite(w_prime))
-    if broken.size:
-        raise InputError(f"sleeve weight of stock {int(broken[0])} is not finite")
+    _require_finite("sleeve weight", w_prime)
     total = w_star + w_prime
     if np.any(total < -1e-12):
         bad = int(np.argmin(total))

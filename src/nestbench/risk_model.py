@@ -11,14 +11,13 @@ parent covariance and changes nothing), so they are not stored.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .data_model import BetaVector, ClassificationTree, ReturnsPanel
+from .data_model import BetaVector, ClassificationTree, ReturnsPanel, read_json, write_json
 from .errors import (
     EmptyBlock,
     InputError,
@@ -368,11 +367,8 @@ def model_from_dict(data: dict) -> RussianDollModel:
 
 
 def save_model(model: RussianDollModel, path: str | os.PathLike) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(model_to_dict(model), handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_json(path, model_to_dict(model))
 
 
 def load_model(path: str | os.PathLike) -> RussianDollModel:
-    with open(path, encoding="utf-8") as handle:
-        return model_from_dict(json.load(handle))
+    return model_from_dict(read_json(path))

@@ -17,7 +17,8 @@ from nestbench import (
     make_betas,
     tree_from_labels,
 )
-from nestbench.benchmark import load_weights_csv, write_weights_csv
+from nestbench.benchmark import write_weights_csv
+from nestbench.data_model import read_keyed_csv
 from nestbench.errors import InputError, InvalidBeta, SingularCovariance
 
 
@@ -260,6 +261,6 @@ def test_weights_csv_roundtrip(tmp_path):
     result = benchmark_weights(inst.model)
     path = tmp_path / "weights.csv"
     write_weights_csv(path, result, inst.model)
-    tickers, weights = load_weights_csv(path)
-    assert tickers == inst.panel.tickers
-    np.testing.assert_array_equal(weights, result.weights)
+    rows = read_keyed_csv(path, ("ticker", "weight"))
+    assert tuple(ticker for ticker, _ in rows) == inst.panel.tickers
+    np.testing.assert_array_equal([weight for _, weight in rows], result.weights)

@@ -12,6 +12,8 @@ import pytest
 from conftest import blas_threads_env
 
 from nestbench.cli import main
+from nestbench.errors import MissingInputFile
+from nestbench.risk_model import load_model
 
 
 def run(*argv):
@@ -161,6 +163,12 @@ class TestBenchmark:
                    "--z-min", "0.15", "--out", str(tmp_path / "flag_wins")) == 0
         sidecar = json.loads((tmp_path / "flag_wins" / "benchmark.json").read_text())
         assert sidecar["config"]["z_min"] == 0.15
+
+    def test_malformed_config_is_input_error(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text('{"z_min": 0.2,')
+        assert run("--config", str(config), "benchmark", "--out", str(tmp_path / "o")) == 2
+        assert str(config) in capsys.readouterr().err
 
 
 class TestOverlay:
@@ -347,6 +355,70 @@ class TestKeyedInputs:
                    "--expected-returns", str(signal), "--out", str(tmp_path / "o"))
         assert code == 2
         assert "ticker,expected_return" in capsys.readouterr().err
+
+    def test_nan_expected_return_names_file_and_ticker(self, tmp_path, capsys):
+        fix = _synth(tmp_path)
+        rows = [["ticker", "expected_return"]] + [[r[0], "0.01"] for r in _returns_rows(fix)[1:]]
+        rows[3][1] = "nan"
+        signal = _write_rows(tmp_path / "e.csv", rows)
+        code = run("overlay", "--returns", str(fix / "returns.csv"),
+                   "--classification", str(fix / "classification.csv"),
+                   "--expected-returns", str(signal), "--out", str(tmp_path / "o"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(signal) in err and "'S0003'" in err
+
+    def test_infinite_beta_names_file_and_ticker(self, tmp_path, capsys):
+        fix = _synth(tmp_path)
+        rows = [["ticker", "beta"]] + [[r[0], "1.0"] for r in _returns_rows(fix)[1:]]
+        rows[3][1] = "inf"
+        beta_file = _write_rows(tmp_path / "beta.csv", rows)
+        code = run("betas", "--returns", str(fix / "returns.csv"), "--beta-mode", "explicit",
+                   "--beta-file", str(beta_file), "--out", str(tmp_path / "o"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(beta_file) in err and "'S0003'" in err
+
+
+class TestWeightsFile:
+    @pytest.mark.parametrize("edit", [
+        lambda rows: rows[2].__setitem__(1, "heavy"),
+        lambda rows: rows.__setitem__(2, rows[2][:1]),
+        lambda rows: rows[2].__setitem__(1, "nan"),
+        lambda rows: rows.insert(1, rows.pop(2)),
+    ], ids=["non-numeric", "ticker-only", "nan", "out-of-order"])
+    def test_bad_weights_file_is_input_error(self, tmp_path, capsys, edit):
+        fix = _synth(tmp_path)
+        inputs = ("--returns", str(fix / "returns.csv"), "--classification", str(fix / "classification.csv"))
+        assert run("benchmark", *inputs, "--out", str(tmp_path / "b")) == 0
+        rows = list(csv.reader((tmp_path / "b" / "weights.csv").read_text().splitlines()))
+        edit(rows)
+        weights = _write_rows(tmp_path / "weights.csv", rows)
+        signal = _write_signal(fix / "returns.csv", tmp_path / "e.csv", value="0.01")
+        capsys.readouterr()
+        code = run("overlay", *inputs, "--expected-returns", str(signal),
+                   "--weights", str(weights), "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert str(weights) in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_blank_lines_header_case_and_extra_columns_are_read(self, tmp_path):
+        fix = _synth(tmp_path)
+        inputs = ("--returns", str(fix / "returns.csv"), "--classification", str(fix / "classification.csv"))
+        signal = _write_signal(fix / "returns.csv", tmp_path / "e.csv", jitter=0.01)
+        assert run("benchmark", *inputs, "--out", str(tmp_path / "b")) == 0
+        assert run("overlay", *inputs, "--expected-returns", str(signal), "--out", str(tmp_path / "inline")) == 0
+        text = (tmp_path / "b" / "weights.csv").read_text()
+        text = text.replace("ticker,weight", "Ticker,WEIGHT", 1).replace("\n", "\n\n", 3)
+        (tmp_path / "b" / "weights.csv").write_text(text)
+        assert run("overlay", *inputs, "--expected-returns", str(signal),
+                   "--weights", str(tmp_path / "b" / "weights.csv"), "--out", str(tmp_path / "loaded")) == 0
+        assert _read(tmp_path / "inline" / "overlay.csv") == _read(tmp_path / "loaded" / "overlay.csv")
+
+
+def test_load_model_missing_file(tmp_path):
+    with pytest.raises(MissingInputFile):
+        load_model(tmp_path / "absent.json")
 
 
 def _cli_with_threads(threads, cwd, *argv):

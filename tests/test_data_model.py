@@ -1,6 +1,10 @@
+import ast
+import os
+
 import numpy as np
 import pytest
 
+import nestbench
 from nestbench import (
     BetaVector,
     ReturnsPanel,
@@ -50,6 +54,12 @@ class TestLoadReturns:
         with pytest.raises(NonNumericCell) as err:
             load_returns_csv(path)
         assert (err.value.row, err.value.col) == (1, 2)
+
+    def test_non_utf8_file(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_bytes(b"ticker,d1,d2\nS\xe9,0.1,0.2\nB,0.3,0.4\n")
+        with pytest.raises(InputError, match="UTF-8"):
+            load_returns_csv(str(path))
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(MissingInputFile):
@@ -172,3 +182,28 @@ def test_tree_from_labels_counts_never_increase():
     labels = [("a", "X"), ("b", "X"), ("c", "Y"), ("d", "Y")]
     tree = tree_from_labels(("A", "B", "C", "D"), labels)
     assert tree.cluster_counts == (4, 2)
+
+
+def test_only_data_model_touches_files():
+    package = os.path.dirname(nestbench.__file__)
+    offenders = []
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py") or name == "data_model.py":
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as handle:
+            tree = ast.parse(handle.read(), name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                modules = []
+            if any(m.split(".")[0] in ("csv", "json") for m in modules):
+                offenders.append(f"{name}:{node.lineno} imports {modules}")
+            if isinstance(node, ast.Call) and (
+                (isinstance(node.func, ast.Name) and node.func.id == "open")
+                or (isinstance(node.func, ast.Attribute) and node.func.attr == "open")
+            ):
+                offenders.append(f"{name}:{node.lineno} calls open")
+    assert not offenders, offenders

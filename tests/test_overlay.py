@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -131,6 +133,20 @@ class TestProblemValidation:
         with pytest.raises(InputError):
             _problem([0.1, -0.1], np.eye(2),
                      lower=np.array([0.1, 0.0]), upper=np.array([0.2, 0.1]))
+
+    def test_non_finite_inputs_name_the_stock(self):
+        problem = _problem([0.1, -0.1, 0.0], np.eye(3))
+        nan = float("nan")
+        for changes, stock in (
+            ({"expected_returns": [0.1, nan, 0.0]}, 1),
+            ({"w_star": [0.5, 0.5, np.inf]}, 2),
+            ({"lower": [nan, -0.1, -0.1]}, 0),
+            ({"upper": [0.1, 0.1, nan]}, 2),
+        ):
+            with pytest.raises(InputError, match=f"stock {stock} "):
+                dataclasses.replace(problem, **changes)
+        with pytest.raises(InputError, match="stock 1 "):
+            _problem([0.1, -0.1, 0.0], np.eye(3), w_star=[0.5, nan, 0.5])
 
 
 class TestOptimizeMvo:
