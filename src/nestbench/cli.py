@@ -33,7 +33,7 @@ from .data_model import (
     write_returns_csv,
 )
 from .errors import InputError, ModelError, NoConvergence
-from .overlay import make_overlay_problem, residualize, tune_gamma
+from .overlay import check_modes, make_overlay_problem, residualize, tune_gamma
 from .risk_model import ThetaFitConfig, build_russian_doll, save_model
 from .risk_model import assemble_dense  # noqa: F401  (perfbench/trace_layers.py wraps this name here)
 from .stats_core import sample_covariance  # noqa: F401  (perfbench/trace_layers.py wraps this name here)
@@ -43,6 +43,8 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_MODEL = 3
 EXIT_SOLVER = 4
+
+_WEIGHT_SCALES = ("beta", "sum")
 
 
 def main(argv=None) -> int:
@@ -75,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("benchmark", help="fit the nested model and write benchmark weights")
     _add_model_flags(bench)
-    bench.add_argument("--weight-scale", choices=("beta", "sum"),
+    bench.add_argument("--weight-scale", choices=_WEIGHT_SCALES,
                        help="normalize weighted betas to 1 (default) or the weights themselves")
     bench.add_argument("--out", help="output directory")
     bench.set_defaults(handler=cmd_benchmark)
@@ -234,10 +236,10 @@ def cmd_benchmark(args) -> int:
     cfg = _merge_config(
         args, {**_MODEL_DEFAULTS, "returns": None, "classification": None, "weight_scale": "beta"}
     )
+    if cfg["weight_scale"] not in _WEIGHT_SCALES:
+        raise InputError(f"unknown weight scale {cfg['weight_scale']!r}")
     panel, tree, model = _build_model(cfg)
     result = benchmark_weights(model)
-    if cfg["weight_scale"] not in ("beta", "sum"):
-        raise InputError(f"unknown weight scale {cfg['weight_scale']!r}")
     if cfg["weight_scale"] == "sum":
         result = _rescale_to_unit_sum(result)
     outdir = _ensure_outdir(cfg["out"])
@@ -266,6 +268,8 @@ def cmd_overlay(args) -> int:
     cfg = _merge_config(
         args, {**_MODEL_DEFAULTS, **_OVERLAY_DEFAULTS, "returns": None, "classification": None}
     )
+    modes = tuple(m.strip() for m in str(cfg["constraints"]).split(",") if m.strip())
+    check_modes(modes)
     panel, tree, model = _build_model(cfg)
     if cfg.get("weights"):
         rows = read_keyed_csv(cfg["weights"], ("ticker", "weight"))
@@ -280,7 +284,6 @@ def cmd_overlay(args) -> int:
     w_star_norm = w_star / w_star.sum()
     if cfg["residualize"]:
         signal = residualize(signal, w_star_norm)
-    modes = tuple(m.strip() for m in str(cfg["constraints"]).split(",") if m.strip())
     lower = cfg.get("lower_bounds")
     upper = cfg.get("upper_bounds")
     problem = make_overlay_problem(

@@ -163,7 +163,54 @@ class SingletonCluster:
 
 
 def load_returns_csv(path: str | os.PathLike) -> ReturnsPanel:
-    """Load a returns panel from ``ticker,<date1>,...,<dateT>`` CSV."""
+    """Load a returns panel from ``ticker,<date1>,...,<dateT>`` CSV.
+
+    The numbers go through numpy's C parser in one streamed pass. A file it
+    would read differently from the ``csv`` module and ``float`` (quoted
+    labels, ragged rows, a cell it refuses) is parsed again cell by cell, so
+    every file loads, or fails naming its first bad cell, exactly as the
+    per-cell parse alone would have it.
+    """
+    tickers: list[str] = []
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            lines = filter(None, (line.rstrip("\r\n") for line in handle))
+            header = next(lines, "")
+            if '"' in header:
+                raise ValueError("quoted header")
+            values = np.loadtxt(_numeric_fields(lines, tickers), delimiter=",", comments=None, ndmin=2)
+    except (OSError, ValueError):  # ValueError includes UnicodeDecodeError
+        return _load_returns_slowly(path)
+    dates = tuple(header.split(",")[1:])
+    if values.shape != (len(tickers), len(dates)) or min(values.shape) < 2:
+        return _load_returns_slowly(path)
+    return ReturnsPanel(tuple(tickers), dates, values)
+
+
+# float() refuses these ASCII separators, which numpy's parser strips as blanks
+_INFORMATION_SEPARATORS = "\x1c\x1d\x1e\x1f"
+
+
+def _numeric_fields(lines, tickers: list[str]):
+    """Yield each row's text after its ticker and append the ticker.
+
+    Raises ValueError where ``np.loadtxt`` would part from the per-cell
+    parse: a quoted ticker, a row with no numeric text (loadtxt skips it),
+    a cell holding an information separator, or no rows at all (loadtxt
+    warns on empty input).
+    """
+    for line in lines:
+        ticker, _, numbers = line.partition(",")
+        if '"' in ticker or not numbers or any(c in numbers for c in _INFORMATION_SEPARATORS):
+            raise ValueError(f"row {len(tickers) + 1} needs the per-cell parse")
+        tickers.append(ticker)
+        yield numbers
+    if not tickers:
+        raise ValueError("no data rows")
+
+
+def _load_returns_slowly(path) -> ReturnsPanel:
+    """The reference parse: the ``csv`` module and one ``float`` per cell."""
     rows = _read_csv(path)
     if len(rows) < 3:
         raise InputError(f"{path}: expected a header row of dates and at least 2 data rows")

@@ -146,6 +146,13 @@ def _require_finite(name: str, values: np.ndarray) -> None:
         raise InputError(f"{name} of stock {int(broken[0])} is not finite")
 
 
+def check_modes(modes) -> None:
+    """Raise ``InputError`` naming every mode outside ``CONSTRAINT_MODES``."""
+    unknown = set(modes) - set(CONSTRAINT_MODES)
+    if unknown:
+        raise InputError(f"unknown constraint modes: {sorted(unknown)}")
+
+
 def build_constraints(modes, model: RussianDollModel, w_star: np.ndarray) -> np.ndarray:
     """Assemble the constraint matrix for the requested neutrality modes.
 
@@ -153,9 +160,7 @@ def build_constraints(modes, model: RussianDollModel, w_star: np.ndarray) -> np.
     correlation adds Gamma w_star, benchmark orthogonality adds w_star.
     """
     modes = set(modes)
-    unknown = modes - set(CONSTRAINT_MODES)
-    if unknown:
-        raise InputError(f"unknown constraint modes: {sorted(unknown)}")
+    check_modes(modes)
     w = np.asarray(w_star, dtype=float)
     columns = [np.ones(len(w))]
     if "zero-expected-correlation" in modes:

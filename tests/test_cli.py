@@ -170,8 +170,29 @@ class TestBenchmark:
         assert run("--config", str(config), "benchmark", "--out", str(tmp_path / "o")) == 2
         assert str(config) in capsys.readouterr().err
 
+    def test_unknown_weight_scale_fails_before_loading(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"weight_scale": "bogus-scale"}))
+        missing = tmp_path / "missing.csv"
+        assert run(
+            "--config", str(config), "benchmark", "--returns", str(missing),
+            "--classification", str(missing), "--out", str(tmp_path / "o"),
+        ) == 2
+        err = capsys.readouterr().err
+        assert "bogus-scale" in err and str(missing) not in err
+
 
 class TestOverlay:
+    def test_unknown_constraint_mode_fails_before_loading(self, tmp_path, capsys):
+        missing = tmp_path / "missing.csv"
+        assert run(
+            "overlay", "--returns", str(missing), "--classification", str(missing),
+            "--expected-returns", str(missing),
+            "--constraints", "dollar-neutral,bogus-mode", "--out", str(tmp_path / "o"),
+        ) == 2
+        err = capsys.readouterr().err
+        assert "bogus-mode" in err and str(missing) not in err
+
     def test_zero_signal_returns_benchmark(self, tmp_path):
         fix = _synth(tmp_path)
         signal = _write_signal(fix / "returns.csv", tmp_path / "e.csv", value="0.0")

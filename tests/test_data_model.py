@@ -1,8 +1,13 @@
 import ast
 import os
+import re
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import nestbench
 from nestbench import (
@@ -17,6 +22,7 @@ from nestbench import (
     write_classification_csv,
     write_returns_csv,
 )
+from nestbench.data_model import _load_returns_slowly, write_csv
 from nestbench.errors import (
     DuplicateTicker,
     InconsistentNesting,
@@ -32,6 +38,60 @@ from nestbench.errors import (
 def _write(path, text):
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+def _outcome(load, path):
+    """The panel's labels and value bytes, or the error's type and message."""
+    try:
+        panel = load(path)
+    except InputError as exc:
+        return type(exc), str(exc)
+    return panel.tickers, panel.dates, panel.values.tobytes()
+
+
+def _assert_same_as_slow_parse(path):
+    assert _outcome(load_returns_csv, path) == _outcome(_load_returns_slowly, path)
+
+
+_ACCEPTED = {
+    "blank lines": (
+        "ticker,d1,d2\n\nA,0.1,0.2\n\n\nB,0.3,0.4\n\n",
+        ("A", "B"), [[0.1, 0.2], [0.3, 0.4]],
+    ),
+    "quoted ticker": (
+        'ticker,d1,d2\n"A,""x""",0.1,0.2\nB,0.3,0.4\n',
+        ('A,"x"', "B"), [[0.1, 0.2], [0.3, 0.4]],
+    ),
+    "underscore and Arabic-Indic digit": (
+        "ticker,d1,d2\nA,1_0,\u0661\nB,0.3,0.4\n",
+        ("A", "B"), [[10.0, 1.0], [0.3, 0.4]],
+    ),
+}
+
+_REJECTED = {
+    "comment character": (
+        "ticker,d1,d2\nA,0.1,1.5#x\nB,0.3,0.4\n",
+        NonNumericCell, "data row 1, column 2: '1.5#x'",
+    ),
+    # float() refuses the ASCII information separators numpy strips as blanks
+    "information separator": (
+        "ticker,d1,d2\nA,0.1,0.2\nB,0.3,0.4\x1c\n",
+        NonNumericCell, "data row 2, column 2: '0.4\\x1c'",
+    ),
+    "ticker-only row": (
+        "ticker,d1,d2\nA\nB,0.3,0.4\n",
+        InputError, "row 1 has 1 fields, expected 3",
+    ),
+    "ticker-only rows alone": (
+        "ticker,d1,d2\nA\nB,\n",
+        InputError, "row 1 has 1 fields, expected 3",
+    ),
+    "one extra field": (
+        "ticker,d1,d2\nA,0.1,0.2\nB,0.3,0.4,0.5\n",
+        InputError, "row 2 has 4 fields, expected 3",
+    ),
+    "header only": ("ticker,d1,d2\n", InputError, "at least 2 data rows"),
+}
 
 
 class TestLoadReturns:
@@ -82,6 +142,105 @@ class TestLoadReturns:
         assert back.tickers == instance.panel.tickers
         assert back.dates == instance.panel.dates
         np.testing.assert_array_equal(back.values, instance.panel.values)
+
+    def test_crlf_file_as_written(self, tmp_path):
+        path = tmp_path / "r.csv"
+        write_csv(path, ("ticker", "d1", "d2"), (("A", "B"), (0.1, -0.0), (5e-324, 2.5)))
+        assert path.read_bytes().count(b"\r\n") == 3
+        panel = load_returns_csv(path)
+        assert panel.tickers == ("A", "B") and panel.dates == ("d1", "d2")
+        assert panel.values.tobytes() == np.array([[0.1, 5e-324], [-0.0, 2.5]]).tobytes()
+        _assert_same_as_slow_parse(path)
+
+    @pytest.mark.parametrize("case", sorted(_ACCEPTED))
+    def test_accepted_edge_cases(self, tmp_path, case):
+        text, tickers, values = _ACCEPTED[case]
+        path = _write(tmp_path / "r.csv", text)
+        panel = load_returns_csv(path)
+        assert panel.tickers == tickers
+        assert panel.values.tobytes() == np.array(values).tobytes()
+        _assert_same_as_slow_parse(path)
+
+    @pytest.mark.parametrize("case", sorted(_REJECTED))
+    def test_rejected_edge_cases(self, tmp_path, case):
+        text, error, message = _REJECTED[case]
+        path = _write(tmp_path / "r.csv", text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error, match=re.escape(message)):
+                load_returns_csv(path)
+        _assert_same_as_slow_parse(path)
+
+    def test_peak_memory_stays_near_the_array(self, tmp_path):
+        n, t = 1000, 500
+        values = np.random.default_rng(0).normal(0.0, 0.02, (n, t))
+        panel = ReturnsPanel(tuple(f"T{i}" for i in range(n)), tuple(f"D{s}" for s in range(t)), values)
+        path = tmp_path / "r.csv"
+        write_returns_csv(panel, path)
+        tracemalloc.start()
+        try:
+            load_returns_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * values.nbytes, f"peak {peak / values.nbytes:.1f}x the array"
+
+
+# the writer quotes labels with commas, quotes or line breaks, which sends the
+# file through the per-cell parse; files without them take numpy's parser
+_PLAIN, _QUOTABLE = "Ab \x1c", 'Ab ,"\r\n\x1c'
+
+_CELLS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _panels(draw):
+    n, t = draw(st.integers(2, 5)), draw(st.integers(2, 5))
+    labels = st.text(alphabet=draw(st.sampled_from([_PLAIN, _QUOTABLE])), max_size=3)
+    tickers = draw(st.lists(labels, min_size=n, max_size=n, unique=True))
+    dates = draw(st.lists(labels, min_size=t, max_size=t, unique=True))
+    values = draw(st.lists(_CELLS, min_size=n * t, max_size=n * t))
+    return ReturnsPanel(tuple(tickers), tuple(dates), np.reshape(values, (n, t)))
+
+
+def _refused_by_float(text):
+    try:
+        float(text)
+    except ValueError:
+        return True
+    return False
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(_panels())
+def test_returns_roundtrip_bit_for_bit(tmp_path_factory, panel):
+    path = tmp_path_factory.mktemp("returns") / "r.csv"
+    write_returns_csv(panel, path)
+    back = load_returns_csv(path)
+    assert back.tickers == panel.tickers
+    assert back.dates == panel.dates
+    assert back.values.tobytes() == panel.values.tobytes()
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(_panels(), st.data())
+def test_corrupt_cell_is_named(tmp_path_factory, panel, data):
+    row = data.draw(st.integers(0, panel.n_stocks - 1))
+    col = data.draw(st.integers(0, panel.n_periods - 1))
+    bad = data.draw(
+        st.one_of(st.sampled_from(["", "abc", "1.5#x", "1\x1c", "0x1p3", "1,5", '"1"']), st.text(max_size=4))
+        .filter(_refused_by_float)
+    )
+    cells = [[repr(v) for v in values] for values in panel.values.tolist()]
+    cells[row][col] = bad
+    path = tmp_path_factory.mktemp("returns") / "r.csv"
+    write_csv(path, ("ticker",) + panel.dates, (panel.tickers, *zip(*cells)))
+    with pytest.raises(NonNumericCell) as err:
+        load_returns_csv(path)
+    assert (err.value.row, err.value.col, err.value.text) == (row + 1, col + 1, bad)
 
 
 class TestLoadClassification:
@@ -182,6 +341,59 @@ def test_tree_from_labels_counts_never_increase():
     labels = [("a", "X"), ("b", "X"), ("c", "Y"), ("d", "Y")]
     tree = tree_from_labels(("A", "B", "C", "D"), labels)
     assert tree.cluster_counts == (4, 2)
+
+
+@st.composite
+def _nested_labels(draw):
+    """Per-stock label tuples of a consistent nesting, most granular first:
+    each level's label is a function of the label one level finer."""
+    n, p = draw(st.integers(2, 12)), draw(st.integers(1, 3))
+    codes = [draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))]
+    for _ in range(1, p):
+        parent = draw(st.lists(st.integers(0, 3), min_size=6, max_size=6))
+        codes.append([parent[c] for c in codes[-1]])
+    return [tuple(f"L{lvl + 1}_{codes[lvl][i]}" for lvl in range(p)) for i in range(n)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(_nested_labels())
+def test_tree_from_labels_invariants(tmp_path_factory, labels):
+    tickers = tuple(f"S{i}" for i in range(len(labels)))
+    tree = tree_from_labels(tickers, labels)
+    assert tree.tickers == tickers
+    for level in range(1, tree.n_levels + 1):
+        column = [row[level - 1] for row in labels]
+        assert tree.level_names[level - 1] == tuple(dict.fromkeys(column))  # first appearance
+        names = np.asarray(tree.level_names[level - 1])
+        assert names[tree.stock_clusters(level)].tolist() == column
+    counts = tree.cluster_counts
+    assert all(counts[i] >= counts[i + 1] for i in range(len(counts) - 1))
+
+    panel = ReturnsPanel(tickers, ("d1", "d2"), np.eye(len(tickers), 2) + 0.01)
+    path = tmp_path_factory.mktemp("tree") / "c.csv"
+    write_classification_csv(tree, path)
+    back = load_classification_csv(path, panel)
+    assert back.level_names == tree.level_names
+    for got, expected in zip(back.parent_maps, tree.parent_maps):
+        assert got.tolist() == expected.tolist()
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(_nested_labels(), st.data())
+def test_tree_from_labels_detects_inconsistent_nesting(labels, data):
+    p = len(labels[0])
+    assume(p >= 2)
+    level = data.draw(st.integers(1, p - 1))  # the finer of the two levels
+    shared = [i for i, row in enumerate(labels) if sum(r[level - 1] == row[level - 1] for r in labels) > 1]
+    assume(shared)
+    stock = data.draw(st.sampled_from(shared))
+    broken = list(labels)
+    broken[stock] = labels[stock][:level] + ("elsewhere",) + labels[stock][level + 1:]
+    with pytest.raises(InconsistentNesting) as err:
+        tree_from_labels(tuple(f"S{i}" for i in range(len(labels))), broken)
+    assert err.value.level == level
+    assert err.value.cluster == labels[stock][level - 1]
+    assert err.value.parents == {labels[stock][level], "elsewhere"}
 
 
 def test_only_data_model_touches_files():
