@@ -10,6 +10,7 @@ No other module opens a file: they go through ``read_keyed_csv``,
 
 from __future__ import annotations
 
+import bisect
 import csv
 import json
 import math
@@ -39,7 +40,8 @@ class ReturnsPanel:
     values: np.ndarray  # N x T
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=float)
+        # a float64 C-contiguous array is kept as a read-only view, not copied
+        values = np.ascontiguousarray(self.values, dtype=float).view()
         object.__setattr__(self, "values", values)
         n, t = len(self.tickers), len(self.dates)
         if values.shape != (n, t):
@@ -165,26 +167,171 @@ class SingletonCluster:
 def load_returns_csv(path: str | os.PathLike) -> ReturnsPanel:
     """Load a returns panel from ``ticker,<date1>,...,<dateT>`` CSV.
 
-    The numbers go through numpy's C parser in one streamed pass. A file it
-    would read differently from the ``csv`` module and ``float`` (quoted
-    labels, ragged rows, a cell it refuses) is parsed again cell by cell, so
-    every file loads, or fails naming its first bad cell, exactly as the
-    per-cell parse alone would have it.
+    The numbers go through numpy's C parser. A large file is cut into line-
+    aligned byte ranges, one per usable core, parsed at once by forked
+    workers into one shared array; the values are the same bits whatever the
+    number of ranges. A file the parser would read differently from the
+    ``csv`` module and ``float`` (quoted labels, ragged rows, a cell it
+    refuses) is parsed again cell by cell, so every file loads, or fails
+    naming its first bad cell, exactly as the per-cell parse alone would have
+    it.
     """
     tickers: list[str] = []
     try:
-        with open(path, newline="", encoding="utf-8") as handle:
-            lines = filter(None, (line.rstrip("\r\n") for line in handle))
-            header = next(lines, "")
-            if '"' in header:
-                raise ValueError("quoted header")
-            values = np.loadtxt(_numeric_fields(lines, tickers), delimiter=",", comments=None, ndmin=2)
+        with open(path, "rb") as handle:
+            size = os.fstat(handle.fileno()).st_size
+            lines = _text_lines(handle, size)
+            header = next(filter(None, lines), "")
+            if '"' in header or header.count(",") < 2:
+                raise ValueError("quoted header or fewer than 2 dates")
+            dates = tuple(header.split(",")[1:])
+            start = handle.tell()
+            k = _range_count(size - start)
+            if k > 1:
+                values = _parse_in_parallel(path, handle, (start, size), k, len(dates), tickers)
+            else:
+                values = _parse(filter(None, lines), tickers)
     except (OSError, ValueError):  # ValueError includes UnicodeDecodeError
         return _load_returns_slowly(path)
-    dates = tuple(header.split(",")[1:])
     if values.shape != (len(tickers), len(dates)) or min(values.shape) < 2:
         return _load_returns_slowly(path)
     return ReturnsPanel(tuple(tickers), dates, values)
+
+
+# A range must be long enough to repay a fork and the wait for a free core.
+_MIN_RANGE_BYTES = 8 << 20
+
+
+def _range_count(data_bytes: int) -> int:
+    """How many ranges to parse at once: one per usable CPU, each of at
+    least ``_MIN_RANGE_BYTES``; one where the platform lacks ``os.fork`` or
+    ``os.sched_getaffinity``."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), data_bytes // _MIN_RANGE_BYTES))
+
+
+def _text_lines(handle, stop: int):
+    """Decoded lines from the handle's position to byte ``stop``, without
+    their line ends. A carriage return inside a line raises ValueError: the
+    ``csv`` module would end the line there."""
+    at = handle.tell()
+    while at < stop and (line := handle.readline()):
+        at += len(line)
+        line = line.rstrip(b"\r\n")
+        if b"\r" in line:
+            raise ValueError("carriage return inside a line")
+        yield line.decode("utf-8")
+
+
+def _parse(lines, tickers: list[str]) -> np.ndarray:
+    return np.loadtxt(_numeric_fields(lines, tickers), delimiter=",", comments=None, ndmin=2)
+
+
+def _line_starts(handle, start: int, stop: int) -> list[int]:
+    """Byte offsets of the lines in [start, stop): ``start`` and every byte
+    after a line feed."""
+    starts = [start]
+    handle.seek(start)
+    chunk = bytearray(1 << 20)
+    while start < stop and (n := handle.readinto(chunk)):
+        end = chunk.find(b"\n", 0, n)
+        while end >= 0:  # one find per line runs at memchr speed
+            starts.append(start + end + 1)
+            end = chunk.find(b"\n", end + 1, n)
+        start += n
+    del starts[bisect.bisect_left(starts, stop):]
+    return starts
+
+
+def _parse_in_parallel(path, handle, span: tuple[int, int], k: int, width: int, tickers: list[str]) -> np.ndarray:
+    """Parse bytes [start, stop) of the open file in up to ``k`` line-aligned
+    ranges of about equal size, into one N x ``width`` array in anonymous
+    shared memory.
+
+    The parent parses the first range; a forked worker parses each other one
+    into its rows and sends back its tickers. A range that parses to other
+    than one row per line (a blank line, say), a width other than ``width``,
+    or any failed worker raises ValueError, and every worker is reaped
+    before this returns or raises.
+    """
+    import mmap  # imported here, as the CLI's start-up would pay for them at module level
+    import signal
+
+    start, stop = span
+    starts = _line_starts(handle, start, stop)
+    cuts = {bisect.bisect_left(starts, start + (stop - start) * j // k) for j in range(1, k)}
+    bounds = sorted(cuts | {0, len(starts)})  # row bounds; the set drops empty ranges
+    rows = list(zip(bounds, bounds[1:]))
+    offsets = [*starts, stop]
+    values = np.frombuffer(mmap.mmap(-1, len(starts) * width * 8), dtype=float).reshape(len(starts), width)
+    workers: list[tuple[int, int]] = []  # (pid, read end of its ticker pipe)
+    failed = True
+    try:
+        for first, end in rows[1:]:
+            workers.append(_fork_worker(path, offsets[first], offsets[end], values[first:end]))
+        first, end = rows[0]
+        handle.seek(offsets[first])
+        _fill(values[first:end], _text_lines(handle, offsets[end]), tickers)
+        sent = []
+        for _, fd in workers:
+            with open(fd, "rb", closefd=False) as pipe:
+                sent.append(pipe.read())
+        failed = False
+    finally:
+        codes = []
+        for pid, fd in workers:
+            os.close(fd)
+            if failed:
+                os.kill(pid, signal.SIGKILL)
+            codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    if any(codes):
+        raise ValueError("a parse worker failed")
+    for text in sent:
+        tickers.extend(text.decode("utf-8").split("\n"))
+    return values
+
+
+def _fill(out: np.ndarray, lines, tickers: list[str]) -> None:
+    """Parse ``lines`` into ``out``, which must take exactly one row per line."""
+    parsed = _parse(lines, tickers)
+    if parsed.shape != out.shape or len(tickers) != len(out):
+        raise ValueError("range rows do not match its lines")
+    out[...] = parsed
+
+
+def _fork_worker(path, start: int, stop: int, out: np.ndarray) -> tuple[int, int]:
+    """Fork a worker that parses bytes [start, stop) of ``path`` into
+    ``out`` and writes its tickers, one per line, to a pipe; return its pid
+    and the pipe's read end. Tickers on the fast path hold no line feed.
+
+    The worker runs numpy's parser only, never BLAS, so the threads a BLAS
+    library may have started in the parent are not needed in it. It leaves
+    by ``os._exit`` on every path, so it never returns into its caller, and
+    exits 1 on any error.
+    """
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid:
+        os.close(write_end)
+        return pid, read_end
+    code = 1
+    try:
+        os.close(read_end)
+        tickers: list[str] = []
+        with open(path, "rb") as handle:  # its own offset: the parent's fd shares one
+            handle.seek(start)
+            _fill(out, _text_lines(handle, stop), tickers)
+        with open(write_end, "wb") as pipe:
+            pipe.write("\n".join(tickers).encode("utf-8"))
+        code = 0
+    finally:
+        os._exit(code)
 
 
 # float() refuses these ASCII separators, which numpy's parser strips as blanks
@@ -394,3 +541,5 @@ def _read_csv(path) -> list[list[str]]:
             return [row for row in csv.reader(handle) if row]
         except UnicodeDecodeError as exc:
             raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        except csv.Error as exc:  # a field over the csv module's size limit, say
+            raise InputError(f"{path}: not readable as CSV ({exc})") from None

@@ -1,9 +1,12 @@
 """Shared generators for seeded random test instances."""
 
+import contextlib
 import os
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
+import pytest
 
 import nestbench
 from nestbench import (
@@ -16,6 +19,7 @@ from nestbench import (
     SyntheticSpec,
     benchmark_weights,
     build_russian_doll,
+    data_model,
     generate,
     make_overlay_problem,
     sample_covariance,
@@ -132,3 +136,31 @@ def blas_threads_env(threads: int) -> dict:
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = str(threads)
     return env
+
+
+@contextlib.contextmanager
+def returns_ranges(k: int):
+    """Make ``load_returns_csv`` cut every returns file with data into up to
+    ``k`` ranges, as on a host with ``k`` usable CPUs. Yields a Counter of
+    the workers forked (``"_fork_worker"``) and of the per-cell parses run
+    (``"_load_returns_slowly"``)."""
+    calls = Counter()
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("_fork_worker", "_load_returns_slowly"):
+            patch.setattr(data_model, name, _counted(getattr(data_model, name), name, calls))
+        patch.setattr(data_model, "_MIN_RANGE_BYTES", 1 if k > 1 else 1 << 62)
+        patch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)))
+        yield calls
+
+
+def _counted(fn, name, calls):
+    def wrapper(*args):
+        calls[name] += 1
+        return fn(*args)
+
+    return wrapper
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import blas_threads_env
+from conftest import assert_no_child_left, blas_threads_env, returns_ranges
 
 from nestbench.cli import main
 from nestbench.errors import MissingInputFile
@@ -111,6 +111,29 @@ class TestBenchmark:
         )
         assert code == 2
         assert "row 1" in capsys.readouterr().err
+
+    def test_overlong_label_is_input_error(self, tmp_path, capsys):
+        # the csv module refuses fields over 131,072 characters
+        fix = _synth(tmp_path)
+        classification = fix / "classification.csv"
+        lines = classification.read_text().splitlines()
+        lines[1] = lines[1].rsplit(",", 1)[0] + "," + "x" * 140_000
+        classification.write_text("\n".join(lines) + "\n")
+        code = run("benchmark", "--returns", str(fix / "returns.csv"),
+                   "--classification", str(classification), "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert str(classification) in capsys.readouterr().err
+
+    def test_same_bytes_from_one_or_two_parse_ranges(self, tmp_path):
+        fix = _synth(tmp_path)
+        for k in (1, 2):
+            with returns_ranges(k) as calls:
+                assert run("benchmark", "--returns", str(fix / "returns.csv"),
+                           "--classification", str(fix / "classification.csv"), "--out", str(tmp_path / f"k{k}")) == 0
+            assert_no_child_left()
+            assert (calls["_fork_worker"], calls["_load_returns_slowly"]) == (k - 1, 0)
+        for name in ("weights.csv", "model.json"):
+            assert _read(tmp_path / "k1" / name) == _read(tmp_path / "k2" / name), name
 
     def test_missing_returns_flag(self, tmp_path):
         assert run("benchmark", "--out", str(tmp_path / "o")) == 2
@@ -480,6 +503,14 @@ def test_overlay_bytes_independent_of_blas_threads(tmp_path):
                           "--constraints", "dollar-neutral,zero-expected-correlation", "--out", "out")
     for name in ("overlay.csv", "overlay.json"):
         assert _read(tmp_path / "t1" / "out" / name) == _read(tmp_path / "t2" / "out" / name), name
+
+
+def test_cli_import_starts_no_process_pool_module():
+    # a module-level multiprocessing import costs start-up time on every run
+    code = "import sys, nestbench.cli; print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
+    done = subprocess.run([sys.executable, "-c", code], env=blas_threads_env(1),
+                          check=True, capture_output=True, text=True, timeout=300)
+    assert done.stdout.strip() == "[]"
 
 
 def _load_by_path(*parts):

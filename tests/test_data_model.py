@@ -1,6 +1,8 @@
 import ast
 import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -8,6 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+
+from conftest import assert_no_child_left, blas_threads_env, returns_ranges
 
 import nestbench
 from nestbench import (
@@ -62,6 +66,10 @@ _ACCEPTED = {
         'ticker,d1,d2\n"A,""x""",0.1,0.2\nB,0.3,0.4\n',
         ('A,"x"', "B"), [[0.1, 0.2], [0.3, 0.4]],
     ),
+    "bare carriage returns end lines": (
+        "ticker,d1,d2\rA,0.1,0.2\rB,0.3,0.4\r",
+        ("A", "B"), [[0.1, 0.2], [0.3, 0.4]],
+    ),
     "underscore and Arabic-Indic digit": (
         "ticker,d1,d2\nA,1_0,\u0661\nB,0.3,0.4\n",
         ("A", "B"), [[10.0, 1.0], [0.3, 0.4]],
@@ -77,6 +85,11 @@ _REJECTED = {
     "information separator": (
         "ticker,d1,d2\nA,0.1,0.2\nB,0.3,0.4\x1c\n",
         NonNumericCell, "data row 2, column 2: '0.4\\x1c'",
+    ),
+    # the csv module ends a line at a bare carriage return
+    "bare carriage return in a ticker": (
+        "ticker,d1,d2\nA\rX,0.1,0.2\nB,0.3,0.4\n",
+        InputError, "row 1 has 1 fields, expected 3",
     ),
     "ticker-only row": (
         "ticker,d1,d2\nA\nB,0.3,0.4\n",
@@ -134,6 +147,12 @@ class TestLoadReturns:
         with pytest.raises(InputError):
             ReturnsPanel(("A", "B"), ("d1", "d2"), np.array([[0.1, np.nan], [0.0, 0.0]]))
 
+    def test_panel_keeps_a_read_only_view(self):
+        values = np.full((2, 2), 0.01)
+        panel = ReturnsPanel(("A", "B"), ("d1", "d2"), values)
+        assert np.shares_memory(panel.values, values)
+        assert not panel.values.flags.writeable and values.flags.writeable
+
     def test_roundtrip(self, tmp_path):
         instance = generate(SyntheticSpec(n=8, t=30, clusters=(3,), rho=(0.4,), seed=3))
         path = tmp_path / "r.csv"
@@ -186,6 +205,100 @@ class TestLoadReturns:
         assert peak < 3 * values.nbytes, f"peak {peak / values.nbytes:.1f}x the array"
 
 
+_HEADER = "ticker,d1,d2,d3"
+_ROWS = [f"S{i},0.{i}1,-0.{i}2,{i}e-3" for i in range(1, 7)]
+
+
+def _ranged(path, k):
+    """The outcome of a load cut into ``k`` ranges, the workers it forked and
+    the per-cell parses it ran; no worker is left behind."""
+    with returns_ranges(k) as calls:
+        outcome = _outcome(load_returns_csv, path)
+    assert_no_child_left()
+    return outcome, calls["_fork_worker"], calls["_load_returns_slowly"]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+class TestParallelParse:
+    def test_bad_cell_in_first_or_last_range(self, tmp_path, k):
+        for row in (0, len(_ROWS) - 1):
+            rows = list(_ROWS)
+            rows[row] = rows[row].rsplit(",", 1)[0] + ",abc"
+            path = _write(tmp_path / f"r{row}.csv", "\n".join([_HEADER, *rows, ""]))
+            outcome, forked, slow = _ranged(path, k)
+            assert outcome == (NonNumericCell, f"non-numeric cell at data row {row + 1}, column 3: 'abc'")
+            assert outcome == _outcome(_load_returns_slowly, path)
+            assert (forked, slow) == (k - 1, 1)
+
+    def test_blank_or_crlf_line_at_every_cut(self, tmp_path, k):
+        clean = _outcome(_load_returns_slowly, _write(tmp_path / "clean.csv", "\n".join([_HEADER, *_ROWS, ""])))
+        for at in range(1, len(_ROWS) + 1):
+            blank = _write(tmp_path / f"blank{at}.csv", "\n".join([_HEADER, *_ROWS[:at], "", *_ROWS[at:], ""]))
+            assert _ranged(blank, k) == (clean, k - 1, 1 if k > 1 else 0)
+            lines = [_HEADER, *_ROWS, ""]
+            lines[at] += "\r"
+            crlf = _write(tmp_path / f"crlf{at}.csv", "\n".join(lines))
+            assert _ranged(crlf, k) == (clean, k - 1, 0)
+
+    def test_one_number_rows_in_last_range(self, tmp_path, k):
+        # rows of one number would broadcast across a range's three columns
+        rows = [*_ROWS[:3], *(f"S{i}{'x' * 12},0.5" for i in range(4, 7))]
+        assert len({len(row) for row in rows}) == 1  # so two ranges cut at row 4
+        path = _write(tmp_path / "r.csv", "\n".join([_HEADER, *rows, ""]))
+        outcome, forked, slow = _ranged(path, k)
+        assert outcome == (InputError, f"{path}: row 4 has 2 fields, expected 4")
+        assert outcome == _outcome(_load_returns_slowly, path)
+        assert (forked, slow) == (k - 1, 1)
+
+    def test_quoted_ticker_only_in_last_range(self, tmp_path, k):
+        rows = [*_ROWS[:-1], '"S,6"' + _ROWS[-1][2:]]
+        path = _write(tmp_path / "r.csv", "\n".join([_HEADER, *rows, ""]))
+        outcome, forked, slow = _ranged(path, k)
+        assert outcome[0][-1] == "S,6"
+        assert outcome == _outcome(_load_returns_slowly, path)
+        assert (forked, slow) == (k - 1, 1)
+
+    def test_non_utf8_byte_in_last_range(self, tmp_path, k):
+        path = tmp_path / "r.csv"
+        path.write_bytes("\n".join([_HEADER, *_ROWS, ""]).encode().replace(b"S6", b"S\xe9"))
+        outcome, forked, slow = _ranged(str(path), k)
+        assert outcome[0] is InputError and "UTF-8" in outcome[1]
+        assert outcome == _outcome(_load_returns_slowly, str(path))
+        assert (forked, slow) == (k - 1, 1)
+
+    def test_header_only(self, tmp_path, k):
+        path = _write(tmp_path / "r.csv", _HEADER + "\n")
+        outcome, forked, slow = _ranged(path, k)
+        assert outcome == _outcome(_load_returns_slowly, path)
+        assert (forked, slow) == (0, 1)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc/self/status")
+def test_peak_resident_memory_stays_near_the_array(tmp_path):
+    # tracemalloc does not see the shared array, and a child's ru_maxrss
+    # starts from its parent's peak, so the loader's own process reads its
+    # high-water mark before and after the load
+    n, t = 1000, 1000
+    values = np.random.default_rng(0).normal(0.0, 0.02, (n, t))
+    path = tmp_path / "r.csv"
+    write_returns_csv(ReturnsPanel(tuple(f"T{i}" for i in range(n)), tuple(f"D{s}" for s in range(t)), values), path)
+    script = (
+        "import sys\n"
+        "from nestbench import load_returns_csv\n"
+        "def hwm():\n"
+        "    with open('/proc/self/status') as status:\n"
+        "        return next(int(line.split()[1]) for line in status if line.startswith('VmHWM:'))\n"
+        "before = hwm()\n"
+        "panel = load_returns_csv(sys.argv[1])\n"
+        "print((hwm() - before) * 1024, float(panel.values.sum()))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script, str(path)], env=blas_threads_env(1),
+                          check=True, capture_output=True, text=True, timeout=300)
+    growth, total = done.stdout.split()
+    assert float(total) == float(values.sum())
+    assert int(growth) < 2 * values.nbytes, f"growth {int(growth) / values.nbytes:.2f}x the array"
+
+
 # the writer quotes labels with commas, quotes or line breaks, which sends the
 # file through the per-cell parse; files without them take numpy's parser
 _PLAIN, _QUOTABLE = "Ab \x1c", 'Ab ,"\r\n\x1c'
@@ -220,6 +333,19 @@ def test_returns_roundtrip_bit_for_bit(tmp_path_factory, panel):
     path = tmp_path_factory.mktemp("returns") / "r.csv"
     write_returns_csv(panel, path)
     back = load_returns_csv(path)
+    assert back.tickers == panel.tickers
+    assert back.dates == panel.dates
+    assert back.values.tobytes() == panel.values.tobytes()
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(_panels())
+def test_returns_roundtrip_in_three_ranges(tmp_path_factory, panel):
+    path = tmp_path_factory.mktemp("returns") / "r.csv"
+    write_returns_csv(panel, path)
+    with returns_ranges(3):
+        back = load_returns_csv(path)
+    assert_no_child_left()
     assert back.tickers == panel.tickers
     assert back.dates == panel.dates
     assert back.values.tobytes() == panel.values.tobytes()
