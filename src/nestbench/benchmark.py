@@ -101,7 +101,7 @@ def make_betas(
         if np.any(sigma <= 0.0):
             bad = panel.tickers[int(np.argmax(sigma <= 0.0))]
             raise InvalidBeta(f"zero sample volatility for {bad!r}")
-        observed = serial_betas(panel, index_returns).beta / sigma
+        observed = serial_betas(panel, index_returns) / sigma
         median = float(np.median(observed))
         if median <= 0.0:
             raise InvalidBeta(f"median standardized beta {median:.4g} is not positive")

@@ -164,8 +164,41 @@ _SYNTH_DEFAULTS = {
 }
 
 
+def _scalar(kind):
+    def convert(value):
+        # JSON true/false only for a flag, and no fraction for an integer
+        fraction = kind is int and isinstance(value, float) and not value.is_integer()
+        if isinstance(value, bool) != (kind is bool) or fraction:
+            raise TypeError(value)
+        return kind(value)
+
+    return convert
+
+
+def _numbers(kind):
+    def convert(value):
+        parts = value if isinstance(value, (list, tuple)) else str(value).split(",")
+        return [_scalar(kind)(part) for part in parts if str(part).strip() != ""]
+
+    return convert
+
+
+# the converter of every config value that is not a name or a path
+_CONVERT = {
+    **dict.fromkeys(
+        ("kappa_max", "kappa_min", "z_min", "z_max", "band_z", "gamma_max", "tol", "market_rho"),
+        _scalar(float),
+    ),
+    **dict.fromkeys(("n", "t", "seed"), _scalar(int)),
+    **dict.fromkeys(("mkt_fac", "residualize"), _scalar(bool)),
+    "clusters": _numbers(int),
+    **dict.fromkeys(("rho", "lower_bounds", "upper_bounds"), _numbers(float)),
+}
+
+
 def _merge_config(args, defaults: dict) -> dict:
-    """defaults < config file < explicit command-line flags."""
+    """defaults < config file < explicit command-line flags, each value
+    converted to the type its key takes."""
     merged = dict(defaults)
     config_path = getattr(args, "config", None)
     if config_path:
@@ -179,6 +212,12 @@ def _merge_config(args, defaults: dict) -> dict:
             continue
         if value is not None:
             merged[key] = value
+    for key, convert in _CONVERT.items():
+        if merged.get(key) is not None:
+            try:
+                merged[key] = convert(merged[key])
+            except (TypeError, ValueError):
+                raise InputError(f"config value {key!r} has the wrong type: {merged[key]!r}") from None
     return merged
 
 
@@ -191,16 +230,16 @@ def _build_model(cfg: dict):
     for warning in validate_tree(tree, panel):
         print(f"warning: singleton level-{warning.level} cluster {warning.cluster!r}", file=sys.stderr)
     beta = _resolve_beta(cfg, panel)
-    theta_cfg = ThetaFitConfig(z_min=float(cfg["z_min"]), z_max=float(cfg["z_max"]))
-    model = build_russian_doll(panel, tree, beta, mkt_fac=bool(cfg["mkt_fac"]), cfg=theta_cfg)
+    theta_cfg = ThetaFitConfig(z_min=cfg["z_min"], z_max=cfg["z_max"])
+    model = build_russian_doll(panel, tree, beta, mkt_fac=cfg["mkt_fac"], cfg=theta_cfg)
     return panel, tree, model
 
 
 def _resolve_beta(cfg: dict, panel):
     spec_kwargs = {
         "mode": cfg["beta_mode"],
-        "kappa_max": float(cfg["kappa_max"]),
-        "kappa_min": float(cfg["kappa_min"]),
+        "kappa_max": cfg["kappa_max"],
+        "kappa_min": cfg["kappa_min"],
     }
     index_returns = None
     if cfg["beta_mode"] == "observed-capped":
@@ -284,19 +323,16 @@ def cmd_overlay(args) -> int:
     w_star_norm = w_star / w_star.sum()
     if cfg["residualize"]:
         signal = residualize(signal, w_star_norm)
-    lower = cfg.get("lower_bounds")
-    upper = cfg.get("upper_bounds")
     problem = make_overlay_problem(
         signal,
         model,
         w_star,
-        band=float(cfg["band_z"]),
-        lower=None if lower is None else np.asarray(lower, dtype=float),
-        upper=None if upper is None else np.asarray(upper, dtype=float),
+        band=cfg["band_z"],
+        lower=cfg.get("lower_bounds"),
+        upper=cfg.get("upper_bounds"),
         modes=modes,
     )
-    gamma_max = cfg["gamma_max"]
-    result = tune_gamma(problem, None if gamma_max is None else float(gamma_max), tol=float(cfg["tol"]))
+    result = tune_gamma(problem, cfg["gamma_max"], tol=cfg["tol"])
 
     outdir = _ensure_outdir(cfg["out"])
     write_csv(
@@ -326,15 +362,13 @@ def cmd_overlay(args) -> int:
 
 def cmd_synth(args) -> int:
     cfg = _merge_config(args, dict(_SYNTH_DEFAULTS))
-    clusters = _parse_number_list(cfg["clusters"], int, "clusters")
-    rho = _parse_number_list(cfg["rho"], float, "rho")
     spec = SyntheticSpec(
-        n=int(cfg["n"]),
-        t=int(cfg["t"]),
-        clusters=tuple(clusters),
-        rho=tuple(rho),
-        market_rho=float(cfg["market_rho"]),
-        seed=int(cfg["seed"]),
+        n=cfg["n"],
+        t=cfg["t"],
+        clusters=tuple(cfg["clusters"]),
+        rho=tuple(cfg["rho"]),
+        market_rho=cfg["market_rho"],
+        seed=cfg["seed"],
     )
     instance = generate(spec)
     outdir = _ensure_outdir(cfg["out"])
@@ -366,15 +400,6 @@ def _rescale_to_unit_sum(result: BenchmarkResult) -> BenchmarkResult:
     variance picks up the square of the scale."""
     scale = float(result.weights.sum())
     return BenchmarkResult(result.tickers, result.weights / scale, result.sigma_f2 / scale**2, result.gamma)
-
-
-def _parse_number_list(text, kind, name):
-    if isinstance(text, (list, tuple)):
-        return [kind(x) for x in text]
-    try:
-        return [kind(part) for part in str(text).split(",") if part.strip() != ""]
-    except ValueError:
-        raise InputError(f"could not parse --{name} list: {text!r}") from None
 
 
 def _ensure_outdir(path) -> str:

@@ -122,11 +122,7 @@ class ClassificationTree:
     def children(self, level: int) -> list[np.ndarray]:
         """Member indices of each level-``level`` cluster; members are units
         of the level below (stocks for level 1)."""
-        m = self.parent_maps[level - 1]
-        k = self.cluster_counts[level - 1]
-        order = np.argsort(m, kind="stable")
-        bounds = np.searchsorted(m[order], np.arange(k + 1))
-        return [order[bounds[a]:bounds[a + 1]] for a in range(k)]
+        return cluster_members(self.parent_maps[level - 1], self.cluster_counts[level - 1])
 
     def stock_clusters(self, level: int) -> np.ndarray:
         """Composed map: stock index -> level-``level`` cluster index."""
@@ -134,6 +130,14 @@ class ClassificationTree:
         for lvl in range(1, level):
             m = self.parent_maps[lvl][m]
         return m
+
+
+def cluster_members(clusters: np.ndarray, k: int) -> list[np.ndarray]:
+    """Member indices, ascending, of each of the ``k`` clusters that the
+    unit -> cluster map ``clusters`` names."""
+    order = np.argsort(clusters, kind="stable")
+    bounds = np.searchsorted(clusters[order], np.arange(k + 1))
+    return [order[bounds[a]:bounds[a + 1]] for a in range(k)]
 
 
 @dataclass(frozen=True)

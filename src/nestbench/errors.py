@@ -77,10 +77,6 @@ class DegeneratePortfolioVariance(ModelError):
     """w'Cw <= 0; only possible for non-positive-semidefinite input."""
 
 
-class EmptyBlock(ModelError):
-    """A covariance block with zero rows was passed to the variance fit."""
-
-
 class InvalidVariance(ModelError):
     """A diagonal variance entry is zero/negative, or a loading is unusable."""
 
@@ -88,7 +84,7 @@ class InvalidVariance(ModelError):
 class NegativeSpecificVariance(ModelError):
     """Specific variance would leave the admissible range.
 
-    Raised when a level-1 block's loading dispersion puts the variance-fit
+    Raised when a level-1 cluster's loading dispersion puts the variance-fit
     bounds in conflict (theta_min > theta_max), or defensively if a computed
     specific variance is not strictly positive.
     """

@@ -200,18 +200,16 @@ def make_overlay_problem(
     return OverlayProblem(np.asarray(expected_returns, dtype=float), model, w, lower, upper, q)
 
 
-def residualize(expected_returns: np.ndarray, w_star: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
-    """Residuals of a no-intercept weighted regression of the signal on the
-    benchmark weights; kills the component that would correlate the sleeve
-    with the benchmark."""
+def residualize(expected_returns: np.ndarray, w_star: np.ndarray) -> np.ndarray:
+    """Residuals of a no-intercept regression of the signal on the benchmark
+    weights; kills the component that would correlate the sleeve with the
+    benchmark."""
     e = np.asarray(expected_returns, dtype=float)
     w = np.asarray(w_star, dtype=float)
-    v = np.ones_like(w) if weights is None else np.asarray(weights, dtype=float)
-    denom = float(v @ (w * w))
+    denom = float(w @ w)
     if denom <= 0.0:
-        raise DegenerateRegression("sum of weighted squared benchmark weights is not positive")
-    coef = float(v @ (e * w)) / denom
-    return v * (e - coef * w)
+        raise DegenerateRegression("sum of squared benchmark weights is not positive")
+    return e - float(w @ e) / denom * w
 
 
 def optimize_mvo(problem: OverlayProblem, gamma_prime: float) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Nested multilevel factor-model construction.
 
-Fits one factor variance per cluster by least squares on off-diagonal
-correlations (bounded by specific-risk fractions), aggregates the return
-series level by level without forming the N x N covariance, and applies
+Fits one factor variance per cluster, a whole level in one call, by least
+squares on off-diagonal correlations (bounded by specific-risk fractions)
+taken from the members' series sums, aggregates the return series level by
+level without forming the N x N covariance or any cluster block, and applies
 the fitted covariance and its inverse in O(N P); the dense N x N form is
 assembled only for checks. Stock loadings are the betas; cluster
 loadings above level 0 are exactly 1 (any positive rescale is absorbed by the
@@ -17,13 +18,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .data_model import BetaVector, ClassificationTree, ReturnsPanel, read_json, write_json
-from .errors import (
-    EmptyBlock,
-    InputError,
-    InvalidVariance,
-    NegativeSpecificVariance,
-)
+from .data_model import BetaVector, ClassificationTree, ReturnsPanel, cluster_members, read_json, write_json
+from .errors import InputError, InvalidVariance, NegativeSpecificVariance
 from .stats_core import CovarianceMatrix
 
 
@@ -44,45 +40,57 @@ class ThetaFitConfig:
         return float(np.sqrt((1.0 - self.z_min**2) / (1.0 - self.z_max**2)))
 
 
-def fit_theta(block: np.ndarray, loadings: np.ndarray, cfg: ThetaFitConfig = ThetaFitConfig()) -> float:
-    """Single factor variance for one covariance block.
+def fit_theta(
+    series: np.ndarray,
+    diag: np.ndarray,
+    loadings: np.ndarray,
+    clusters: np.ndarray,
+    cfg: ThetaFitConfig = ThetaFitConfig(),
+) -> np.ndarray:
+    """One factor variance per cluster of a level.
 
-    Least-squares fit of the off-diagonal correlations by an outer product of
-    standardized loadings, clamped into the band implied by ``cfg``. The
-    clamp is applied as min(max(. , lower), upper) so that when the bounds
-    conflict the upper bound wins and specific variances stay positive. A
-    1x1 block has no off-diagonal information and gets the minimal factor
-    share consistent with z_max.
+    ``series`` holds one row per unit, with ``series @ series.T`` the units'
+    covariance and ``diag`` its diagonal; ``clusters`` maps each unit to its
+    cluster. Each cluster's value is the least-squares fit of its members'
+    off-diagonal correlations by an outer product of standardized loadings,
+    clamped into the band implied by ``cfg``. The clamp is applied as
+    min(max(. , lower), upper) so that when the bounds conflict the upper
+    bound wins and specific variances stay positive. With u = b / d, the
+    weighted off-diagonal sum is |sum_i u_i s_i|^2 - sum_i u_i^2 d_i, so no
+    member block is formed. A single-member cluster has no off-diagonal
+    information and gets the minimal factor share consistent with z_max.
     """
-    x = np.atleast_2d(np.asarray(block, dtype=float))
-    b = np.atleast_1d(np.asarray(loadings, dtype=float))
-    m = len(b)
-    if m == 0 or x.size == 0:
-        raise EmptyBlock("cannot fit a factor variance on an empty block")
-    if x.shape != (m, m):
-        raise InputError(f"block shape {x.shape} does not match {m} loadings")
+    b = np.asarray(loadings, dtype=float)
+    d = np.asarray(diag, dtype=float)
+    clusters = np.asarray(clusters)
     if not np.all(np.isfinite(b)) or np.any(b == 0.0):
         raise InvalidVariance("loadings must be finite and nonzero")
-    diag = np.diag(x)
-    if np.any(diag <= 0.0) or not np.all(np.isfinite(x)):
-        raise InvalidVariance("block diagonal must be strictly positive and finite")
-    if m == 1:
-        return (1.0 - cfg.z_max**2) * float(diag[0]) / float(b[0]) ** 2
-    scale = np.sqrt(diag)
-    b_hat = b / scale
-    t_min, t_max = _theta_bounds(b_hat, cfg)
-    x_hat = x / np.outer(scale, scale)
-    weighted = x_hat * np.outer(b_hat, b_hat)
-    numer = weighted.sum() - np.trace(weighted)
-    b2 = b_hat**2
-    denom = b2.sum() ** 2 - (b2**2).sum()
-    t_star = numer / denom
-    return min(max(t_star, t_min), t_max)
+    if not np.all(d > 0.0) or not np.all(np.isfinite(d)):
+        raise InvalidVariance("variances must be strictly positive and finite")
+    groups = cluster_members(clusters, int(clusters.max()) + 1)
+    k = len(groups)
+    b2 = b**2 / d  # squared standardized loadings, u_i^2 d_i
+    t_min, t_max = _theta_bounds(b2, clusters, k, cfg)
+    numer = -np.bincount(clusters, b2, minlength=k)
+    u = b / d
+    for a, idx in enumerate(groups):
+        if len(idx) > 1:
+            w = np.einsum("i,ij->j", u[idx], series[idx])
+            numer[a] += np.einsum("j,j->", w, w)
+    single = np.bincount(clusters, minlength=k) == 1
+    denom = np.bincount(clusters, b2, minlength=k) ** 2 - np.bincount(clusters, b2**2, minlength=k)
+    theta = np.minimum(np.maximum(numer / np.where(single, 1.0, denom), t_min), t_max)
+    return np.where(single, np.bincount(clusters, (1.0 - cfg.z_max**2) * d / b**2, minlength=k), theta)
 
 
-def _theta_bounds(b_hat: np.ndarray, cfg: ThetaFitConfig) -> tuple[float, float]:
-    b2 = b_hat**2
-    return (1.0 - cfg.z_max**2) / b2.min(), (1.0 - cfg.z_min**2) / b2.max()
+def _theta_bounds(b2: np.ndarray, clusters: np.ndarray, k: int, cfg: ThetaFitConfig):
+    """Per-cluster clamp bounds (t_min, t_max) from the squared
+    standardized loadings ``b2``."""
+    lowest = np.full(k, np.inf)
+    highest = np.zeros(k)
+    np.minimum.at(lowest, clusters, b2)
+    np.maximum.at(highest, clusters, b2)
+    return (1.0 - cfg.z_max**2) / lowest, (1.0 - cfg.z_min**2) / highest
 
 
 @dataclass(frozen=True)
@@ -188,99 +196,76 @@ def build_russian_doll(
     tree: ClassificationTree,
     beta: BetaVector,
     mkt_fac: bool = True,
-    cfg: ThetaFitConfig | tuple[ThetaFitConfig, ...] = ThetaFitConfig(),
+    cfg: ThetaFitConfig = ThetaFitConfig(),
 ) -> RussianDollModel:
     """Fit the nested model level by level from a returns panel.
 
     Works on scaled, centred series s with s s' equal to the sample
-    covariance, so no N x N matrix is formed. At each level every cluster's
-    variance is fitted on the covariance block of its members' series;
-    members' specific variances are what the fit leaves over. Each cluster's
-    series is then the sum of its members' series, rescaled so that its
-    variance equals the fitted value, before the next level. The final level
-    fits one market variance when ``mkt_fac`` is set, otherwise it is pinned
-    to zero.
-
-    ``cfg`` may be a single config or one per level (P+1 of them, the last
-    for the market fit).
+    covariance, so no N x N matrix is formed. Each level is one ``fit_theta``
+    call over all of its clusters; members' specific variances are what the
+    fit leaves over. Each cluster's series is then the sum of its members'
+    series, rescaled so that its variance equals the fitted value, before
+    the next level. The final level fits one market variance when
+    ``mkt_fac`` is set, otherwise it is pinned to zero.
     """
     if panel.tickers != tree.tickers or beta.tickers != tree.tickers:
         raise InputError("panel, tree and beta tickers must match")
     p = tree.n_levels
-    if isinstance(cfg, ThetaFitConfig):
-        configs = (cfg,) * (p + 1)
-    else:
-        configs = tuple(cfg)
-        if len(configs) != p + 1:
-            raise InputError(f"expected {p + 1} per-level configs, got {len(configs)}")
-
     t = panel.n_periods
     series = (panel.values - panel.values.mean(axis=1, keepdims=True)) / np.sqrt(t - 1)
     diag = np.einsum("ij,ij->i", series, series)
+    if np.any(diag <= 0.0):
+        bad = tree.tickers[int(np.argmax(diag <= 0.0))]
+        raise InvalidVariance(f"stock {bad!r} has zero sample variance")
     b = np.array(beta.values, dtype=float)
-    xi2 = np.empty(0)
-    zeta2: list[np.ndarray] = []
+    _check_admissible(cfg, tree, b**2 / diag)
+    specific: list[np.ndarray] = []
     fitted: list[np.ndarray] = []
-    top_var = 0.0
-
-    for lvl in range(1, p + 2):
-        level_cfg = configs[lvl - 1]
-        if lvl <= p:
-            groups = tree.children(lvl)
+    levels = (*tree.parent_maps, np.zeros(tree.cluster_counts[-1], dtype=np.int64))
+    for lvl, clusters in enumerate(levels, start=1):
+        if lvl <= p or mkt_fac:
+            g_fit = fit_theta(series, diag, b, clusters, cfg)
         else:
-            groups = [np.arange(len(diag))]
-        k = len(groups)
-        g_fit = np.empty(k)
-        spec = np.empty(len(diag))
-        for a, idx in enumerate(groups):
-            if lvl == p + 1 and not mkt_fac:
-                g_fit[a] = 0.0
-            else:
-                if lvl == 1 and len(idx) > 1:
-                    _check_admissible(level_cfg, tree, beta, diag, idx, a)
-                members = series[idx]
-                g_fit[a] = fit_theta(members @ members.T, b[idx], level_cfg)
-            spec[idx] = diag[idx] - b[idx] ** 2 * g_fit[a]
-        _check_positive_specific(spec, lvl - 1, tree, groups)
-        if lvl == 1:
-            xi2 = spec
-        else:
-            zeta2.append(spec)
-        if lvl <= p:
-            fitted.append(g_fit)
-        else:
-            top_var = float(g_fit[0])
+            g_fit = np.zeros(1)
+        spec = diag - b**2 * g_fit[clusters]
+        _check_positive_specific(spec, lvl - 1, tree)
+        specific.append(spec)
+        if lvl > p:
             break
+        fitted.append(g_fit)
         # cluster series: member sums rescaled so their variances are the fits
-        sums = np.stack([series[idx].sum(axis=0) for idx in groups])
+        sums = np.stack([series[idx].sum(axis=0) for idx in tree.children(lvl)])
         agg_diag = np.einsum("ij,ij->i", sums, sums)
         if np.any(agg_diag <= 0.0):
             bad = tree.level_names[lvl - 1][int(np.argmax(agg_diag <= 0.0))]
             raise InvalidVariance(f"aggregated variance of cluster {bad!r} is not positive")
         series = sums * np.sqrt(g_fit / agg_diag)[:, None]
         diag = g_fit
-        b = np.ones(k)
+        b = np.ones(len(g_fit))
 
     return RussianDollModel(
         tree=tree,
         beta=beta,
-        xi2=xi2,
-        zeta2=tuple(zeta2),
-        top_var=top_var,
+        xi2=specific[0],
+        zeta2=tuple(specific[1:]),
+        top_var=float(g_fit[0]),
         fitted_cluster_var=tuple(fitted),
         mkt_fac=mkt_fac,
-        configs=configs,
+        configs=(cfg,) * (p + 1),
     )
 
 
-def _check_admissible(cfg, tree, beta, diag, idx, cluster):
-    """Abort when a level-1 block's standardized betas are so dispersed that
-    the fit bounds conflict; clamping would silently mask the modeling error."""
-    b_hat2 = beta.values[idx] ** 2 / diag[idx]
-    t_min, t_max = _theta_bounds(np.sqrt(b_hat2), cfg)
-    if t_min <= t_max:
+def _check_admissible(cfg, tree, b2):
+    """Abort when a level-1 cluster's standardized betas are so dispersed
+    that the fit bounds conflict; clamping would silently mask the modeling
+    error. ``b2`` holds the stocks' squared standardized betas."""
+    clusters = tree.parent_maps[0]
+    t_min, t_max = _theta_bounds(b2, clusters, tree.cluster_counts[0], cfg)
+    if np.all(t_min <= t_max):
         return
-    b_hat = np.sqrt(b_hat2)
+    cluster = int(np.argmax(t_min > t_max))
+    idx = np.flatnonzero(clusters == cluster)
+    b_hat = np.sqrt(b2[idx])
     limit = cfg.max_loading_dispersion
     cutoff_hi = b_hat.min() * limit
     offenders = [
@@ -288,16 +273,15 @@ def _check_admissible(cfg, tree, beta, diag, idx, cluster):
         for j, i in enumerate(idx)
         if b_hat[j] > cutoff_hi or b_hat[j] * limit < b_hat.max()
     ]
-    name = tree.level_names[0][cluster]
     raise NegativeSpecificVariance(
         0,
-        name,
+        tree.level_names[0][cluster],
         f"beta/sigma dispersion {b_hat.max() / b_hat.min():.4g} exceeds the "
         f"admissible ratio {limit:.4g}; offending stocks: {', '.join(offenders)}",
     )
 
 
-def _check_positive_specific(spec, level, tree, groups):
+def _check_positive_specific(spec, level, tree):
     if not np.any(spec <= 0.0):
         return
     bad = int(np.argmax(spec <= 0.0))

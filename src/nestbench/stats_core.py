@@ -39,14 +39,6 @@ class CovarianceMatrix:
         return np.diag(self.values)
 
 
-@dataclass(frozen=True)
-class RegressionBetas:
-    """Per-stock intercepts and slopes of a serial regression."""
-
-    alpha: np.ndarray
-    beta: np.ndarray
-
-
 def sample_covariance(panel: ReturnsPanel) -> CovarianceMatrix:
     """Sample covariance of the panel rows, T-1 denominator."""
     t = panel.n_periods
@@ -58,8 +50,9 @@ def sample_covariance(panel: ReturnsPanel) -> CovarianceMatrix:
     return CovarianceMatrix(panel.tickers, cov)
 
 
-def serial_betas(panel: ReturnsPanel, bench_returns: np.ndarray) -> RegressionBetas:
-    """Regress each stock's return series on ``bench_returns`` with intercept."""
+def serial_betas(panel: ReturnsPanel, bench_returns: np.ndarray) -> np.ndarray:
+    """Slopes of each stock's return series regressed on ``bench_returns``
+    with intercept."""
     f = np.asarray(bench_returns, dtype=float)
     if f.shape != (panel.n_periods,):
         raise InputError(f"benchmark series has length {f.shape}, expected {panel.n_periods}")
@@ -70,7 +63,5 @@ def serial_betas(panel: ReturnsPanel, bench_returns: np.ndarray) -> RegressionBe
     if var_f <= 0.0:
         raise DegenerateBenchmark("benchmark returns have zero sample variance")
     centered = panel.values - panel.values.mean(axis=1, keepdims=True)
-    beta = np.einsum("is,s->i", centered, f_centered) / var_f
-    alpha = panel.values.mean(axis=1) - beta * f.mean()
-    return RegressionBetas(alpha, beta)
+    return np.einsum("is,s->i", centered, f_centered) / var_f
 

@@ -1,8 +1,9 @@
 """Dense references the tests check the program against.
 
 They know nothing of the nested structure: a direct solve for the benchmark
-weights, the general factor-model inverse, betas from explicit weights, and
-a dense stand-in for the nested model's ``matvec``/``solve`` interface. They
+weights, the general factor-model inverse, betas from explicit weights, a
+dense stand-in for the nested model's ``matvec``/``solve`` interface, and the
+level fit on one cluster given by its covariance block. They
 live apart from ``_reference.py``, which the benchmark loads on its own,
 without the package on the path.
 """
@@ -11,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from nestbench import BetaVector, CovarianceMatrix
+from nestbench import BetaVector, CovarianceMatrix, ThetaFitConfig, fit_theta
 from nestbench.errors import (
     DegenerateModel,
     DegeneratePortfolioVariance,
@@ -120,6 +121,13 @@ def betas_from_weights(cov: CovarianceMatrix, weights: np.ndarray) -> tuple[np.n
     if sigma_f2 <= 0.0:
         raise DegeneratePortfolioVariance(f"portfolio variance {sigma_f2} is not positive")
     return cw / sigma_f2, sigma_f2
+
+
+def fit_block(block, loadings, cfg=ThetaFitConfig()) -> float:
+    """``fit_theta`` on one cluster whose members' covariance block is ``block``."""
+    x = np.atleast_2d(np.asarray(block, dtype=float))
+    one_cluster = np.zeros(len(x), dtype=np.int64)
+    return float(fit_theta(np.linalg.cholesky(x), np.diag(x), loadings, one_cluster, cfg)[0])
 
 
 class DenseCovariance:

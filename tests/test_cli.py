@@ -521,6 +521,22 @@ def _load_by_path(*parts):
     return module
 
 
+@pytest.mark.parametrize("command, config", [
+    ("overlay", {"tol": "abc"}),
+    ("benchmark", {"z_min": "x"}),
+    ("synth", {"clusters": [4, "a"]}),
+    ("benchmark", {"mkt_fac": "false"}),
+    ("overlay", {"residualize": "false"}),
+    ("synth", {"n": 16.5}),
+    ("overlay", {"band_z": True}),
+])
+def test_config_value_of_wrong_type_is_input_error(tmp_path, capsys, command, config):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert run("--config", str(path), command, "--out", str(tmp_path / "o")) == 2
+    assert repr(next(iter(config))) in capsys.readouterr().err
+
+
 def test_traced_names_resolve():
     # perfbench/trace_layers.py wraps these names with getattr; a program
     # module that stops providing one breaks every traced benchmark run

@@ -79,13 +79,6 @@ class TestResidualize:
         eps = residualize(np.array([1.0, 2.0]), np.array([0.5, 0.5]))
         np.testing.assert_allclose(eps, [-0.5, 0.5], rtol=1e-15)
 
-    def test_weighted_variant(self):
-        e = np.array([1.0, 2.0, 3.0])
-        w = np.array([0.2, 0.3, 0.5])
-        v = np.array([1.0, 2.0, 0.5])
-        coef = (v * e * w).sum() / (v * w * w).sum()
-        np.testing.assert_allclose(residualize(e, w, v), v * (e - coef * w), rtol=1e-14)
-
     def test_residual_is_orthogonal_to_benchmark(self):
         rng = np.random.default_rng(0)
         e = rng.normal(size=8)
@@ -94,7 +87,7 @@ class TestResidualize:
 
     def test_degenerate_denominator(self):
         with pytest.raises(DegenerateRegression):
-            residualize(np.array([1.0, 2.0]), np.array([1.0, 1.0]), np.array([0.0, 0.0]))
+            residualize(np.array([1.0, 2.0]), np.array([0.0, 0.0]))
 
 
 class TestBuildConstraints:

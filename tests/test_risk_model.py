@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import panel_with_covariance, random_instance
-from _dense import DenseCovariance
+from _dense import DenseCovariance, fit_block
 
 from nestbench import (
     BetaVector,
@@ -26,22 +26,22 @@ from nestbench import (
     optimize_mvo,
     tree_from_labels,
 )
-from nestbench.errors import EmptyBlock, InputError, InvalidVariance, NegativeSpecificVariance
+from nestbench.errors import InputError, InvalidVariance, NegativeSpecificVariance
 
 DEFAULT = ThetaFitConfig()
 
 
 class TestFitTheta:
     def test_single_member_closed_form(self):
-        assert fit_theta(np.array([[0.04]]), np.array([2.0])) == (1 - 0.9**2) * 0.04 / 4.0
+        assert fit_block(np.array([[0.04]]), np.array([2.0])) == (1 - 0.9**2) * 0.04 / 4.0
 
     def test_two_member_interior(self):
         x = np.array([[1.0, 0.5], [0.5, 1.0]])
-        assert fit_theta(x, np.array([1.0, 1.0])) == pytest.approx(0.5, rel=1e-15)
+        assert fit_block(x, np.array([1.0, 1.0])) == pytest.approx(0.5, rel=1e-15)
 
     def test_two_member_clamped_low(self):
         x = np.array([[1.0, 0.05], [0.05, 1.0]])
-        theta = fit_theta(x, np.array([1.0, 1.0]))
+        theta = fit_block(x, np.array([1.0, 1.0]))
         assert theta == pytest.approx(1 - 0.9**2, rel=1e-15)
 
     def test_conflicting_bounds_upper_wins(self):
@@ -50,23 +50,22 @@ class TestFitTheta:
         x = np.array([[1.0, 0.3], [0.3, 1.0]])
         b = np.array([1.0, 3.0])
         t_max = (1 - 0.1**2) / 9.0
-        assert fit_theta(x, b) == pytest.approx(t_max, rel=1e-15)
+        assert fit_block(x, b) == pytest.approx(t_max, rel=1e-15)
 
     def test_negative_average_correlation_clamps_to_lower(self):
         x = np.array([[1.0, -0.4], [-0.4, 1.0]])
-        assert fit_theta(x, np.array([1.0, 1.0])) == pytest.approx(0.19, rel=1e-12)
+        assert fit_block(x, np.array([1.0, 1.0])) == pytest.approx(0.19, rel=1e-12)
 
     def test_loading_sign_does_not_flip_fit(self):
         x = np.array([[1.0, 0.5], [0.5, 1.0]])
-        assert fit_theta(x, np.array([1.0, 1.0])) == fit_theta(x, np.array([-1.0, -1.0]))
+        assert fit_block(x, np.array([1.0, 1.0])) == fit_block(x, np.array([-1.0, -1.0]))
 
     def test_errors(self):
-        with pytest.raises(EmptyBlock):
-            fit_theta(np.empty((0, 0)), np.empty(0))
+        # a member with zero variance has no Cholesky factor; its series is 0
         with pytest.raises(InvalidVariance):
-            fit_theta(np.array([[0.0]]), np.array([1.0]))
+            fit_theta(np.zeros((1, 3)), np.array([0.0]), np.array([1.0]), np.zeros(1, dtype=np.int64))
         with pytest.raises(InvalidVariance):
-            fit_theta(np.eye(2), np.array([1.0, 0.0]))
+            fit_block(np.eye(2), np.array([1.0, 0.0]))
 
     def test_config_validation(self):
         with pytest.raises(InputError):
@@ -79,7 +78,7 @@ class TestFitTheta:
             a = rng.normal(size=(m, m + 2))
             x = a @ a.T + 1e-6 * np.eye(m)
             b = rng.uniform(0.3, 3.0, m) * rng.choice([-1.0, 1.0], m)
-            theta = fit_theta(x, b, DEFAULT)
+            theta = fit_block(x, b, DEFAULT)
             frac = np.sqrt(1.0 - theta * b**2 / np.diag(x))
             assert np.all(frac >= DEFAULT.z_min - 1e-12)
             assert np.all(frac <= 1.0 + 1e-12)
@@ -125,35 +124,38 @@ class TestBuildRussianDoll:
         inst = random_instance(5, n_range=(8, 16), p_range=(2, 2), mkt_fac=False)
         assert inst.model.top_var == 0.0
 
-    def test_per_level_configs(self):
-        block = np.array([[1.0, 0.5], [0.5, 1.0]])
-        cov_values = np.zeros((4, 4))
-        cov_values[:2, :2] = block
-        cov_values[2:, 2:] = block
-        tree = _two_cluster_tree()
-        panel = panel_with_covariance(tree.tickers, cov_values)
-        beta = BetaVector(tree.tickers, np.ones(4))
-        configs = (ThetaFitConfig(), ThetaFitConfig(z_min=0.1, z_max=0.6))
-        model = build_russian_doll(panel, tree, beta, mkt_fac=True, cfg=configs)
-        assert model.top_var == pytest.approx((1 - 0.6**2) * 0.5, rel=1e-12)
-
     def test_fit_allocates_no_dense_covariance(self):
         import tracemalloc
 
         n, t = 3000, 60
         rng = np.random.default_rng(0)
-        labels = [(f"a{i % 300}", f"b{i % 30}") for i in range(n)]
-        tree = tree_from_labels(tuple(f"S{i}" for i in range(n)), labels)
         values = rng.standard_normal((n, t)) + rng.standard_normal((300, t))[np.arange(n) % 300]
-        panel = ReturnsPanel(tree.tickers, tuple(f"d{s}" for s in range(t)), values)
-        beta = BetaVector(tree.tickers, values.std(axis=1, ddof=1))
-        tracemalloc.start()
-        try:
-            build_russian_doll(panel, tree, beta)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < n * n * 8
+        even = [(f"a{i % 300}", f"b{i % 30}") for i in range(n)]
+        # one level-1 cluster of 2000 stocks beside 100 small ones: a
+        # 2000 x 2000 member block alone would be 22x the panel
+        skewed = [("a0", "b0") if i < 2000 else (f"a{i % 100 + 1}", f"b{i % 10 + 1}") for i in range(n)]
+        for labels in (even, skewed):
+            tree = tree_from_labels(tuple(f"S{i}" for i in range(n)), labels)
+            panel = ReturnsPanel(tree.tickers, tuple(f"d{s}" for s in range(t)), values)
+            beta = BetaVector(tree.tickers, values.std(axis=1, ddof=1))
+            tracemalloc.start()
+            try:
+                build_russian_doll(panel, tree, beta)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < n * n * 8
+            assert peak < 3 * values.nbytes
+
+    def test_zero_variance_stock_is_named(self):
+        values = np.random.default_rng(0).normal(size=(4, 30))
+        values[2] = 0.0
+        tickers = ("S0", "S1", "S2", "S3")
+        panel = ReturnsPanel(tickers, tuple(f"d{s}" for s in range(30)), values)
+        beta = BetaVector(tickers, np.ones(4))
+        for labels in ([("c1",), ("c1",), ("c2",), ("c3",)], [("c1",), ("c1",), ("c2",), ("c2",)]):
+            with pytest.raises(InvalidVariance, match="'S2'"):
+                build_russian_doll(panel, tree_from_labels(tickers, labels), beta)
 
     def test_misaligned_inputs(self):
         tree = _two_cluster_tree()
