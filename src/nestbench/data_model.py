@@ -102,7 +102,7 @@ class ClassificationTree:
                     bad = int(np.argmax((m < 0) | (m >= k)))
                     raise UnmappedStock(self.tickers[bad])
                 raise InputError(f"level-{lvl} map has out-of-range cluster indices")
-            if len(np.unique(m)) != k:
+            if np.count_nonzero(np.bincount(m, minlength=k)) != k:
                 missing = sorted(set(range(k)) - set(m.tolist()))
                 raise InputError(f"empty level-{lvl + 1} cluster(s): {missing}")
             m.setflags(write=False)

@@ -35,6 +35,12 @@ _BOUND_TOL = 1e-12
 # count as zero: those constraint combinations vanish on the free rows
 _RANK_TOL = 1e-12
 
+# an active set whose free rows cannot meet Q'w = 0 on their own must meet it
+# to this share of the sum of its terms' magnitudes: with boxes a few
+# _FEAS_TOL wide, one that misses can still come within _FEAS_TOL, at a
+# point a box width from the optimum
+_EQ_RTOL = 1e-12
+
 # kkt_check: optimality relative to the gradient scale, feasibility absolute
 _KKT_TOL = 1e-8
 _FEAS_TOL = 1e-10
@@ -212,31 +218,37 @@ def residualize(expected_returns: np.ndarray, w_star: np.ndarray) -> np.ndarray:
     return e - float(w @ e) / denom * w
 
 
-def optimize_mvo(problem: OverlayProblem, gamma_prime: float) -> np.ndarray:
+def optimize_mvo(problem: OverlayProblem, gamma_prime: float, start: np.ndarray | None = None) -> np.ndarray:
     """Maximize E'w - (1/gamma') w'Gamma w over the box, subject to Q'w = 0.
 
     Primal-dual active-set steps (Hintermueller, Ito and Kunisch, SIAM J.
-    Optim. 13, 2002) from w = 0: solve on the free set, then at once clamp
-    every free coordinate that breaks its box at that bound and release
-    every active bound whose multiplier has the wrong sign. Gamma is not an
-    M-matrix, so if the steps revisit an active set, or stop on one where
-    Q'w = 0 is out of reach, ``_monotone_walk`` solves instead.
+    Optim. 13, 2002): solve on the free set, then at once clamp every free
+    coordinate that breaks its box at that bound and release every active
+    bound whose multiplier has the wrong sign. The steps begin from the
+    active set of w = 0, or, given ``start`` (say the solution at a nearby
+    gamma'), with every coordinate of ``start`` that sits exactly on a bound
+    active there. The start is only a guess: the result depends on the final
+    active set alone. Gamma is not an M-matrix, so if the steps revisit an
+    active set, or stop on one where Q'w = 0 is out of reach,
+    ``_monotone_walk`` solves from w = 0 instead.
     """
     if gamma_prime <= 0.0:
         raise InputError("gamma_prime must be positive")
     curvature = 2.0 / gamma_prime
+    q = problem.constraints
     lower, upper, near, at_lower, at_upper = _cold_start(problem)
+    if start is not None:
+        at_lower |= start == lower
+        at_upper = (start == upper) & ~at_lower
     seen = set()
     while (key := (at_lower.tobytes(), at_upper.tobytes())) not in seen:
         seen.add(key)
         free = ~(at_lower | at_upper)
         w_fixed = np.where(at_lower, lower, 0.0) + np.where(at_upper, upper, 0.0)
-        w, mu, null = _solve_equality_qp(problem.model, curvature, problem.expected_returns,
-                                         problem.constraints, free, w_fixed)
+        w, mu, null = _solve_equality_qp(problem.model, curvature, problem.expected_returns, q, free, w_fixed)
         release = _wrong_signs(problem, curvature, w, mu, null, at_lower, at_upper) > 0.0
         clamp_lo, clamp_hi = free & (w < lower - near), free & (w > upper + near)
-        if (not (release | clamp_lo | clamp_hi).any()
-                and np.abs(_dot(problem.constraints, w)).max() <= _FEAS_TOL):
+        if not (release | clamp_lo | clamp_hi).any() and _meets_constraints(q, w, null):
             return w
         at_lower = (at_lower & ~release) | clamp_lo
         at_upper = (at_upper & ~release) | clamp_hi
@@ -313,6 +325,15 @@ def _cold_start(problem: OverlayProblem):
     upper = np.where(problem.pinned, 0.0, problem.upper)
     near = _BOUND_TOL * (upper - lower)
     return lower, upper, near, problem.pinned.copy(), np.zeros(problem.n_stocks, dtype=bool)
+
+
+def _meets_constraints(q, w, null):
+    """Whether Q'w = 0 holds within _FEAS_TOL and, where the free rows leave
+    directions of mu open (``null``) so that the fixed rows must meet it on
+    their own, also to rounding."""
+    residual = np.abs(_dot(q, w))
+    return residual.max() <= _FEAS_TOL and (
+        not null.shape[1] or bool(np.all(residual <= _EQ_RTOL * _dot(np.abs(q), np.abs(w)))))
 
 
 def _wrong_signs(problem, curvature, w, mu, null, at_lower, at_upper):
@@ -452,7 +473,9 @@ def tune_gamma(
     gamma_max. Ties keep the left interval, so a flat curve walks toward
     small scales and the final bracket midpoint is returned. If the right
     edge never moves the curve is still rising at gamma_max: the result is
-    gamma_max with the saturation flag set.
+    gamma_max with the saturation flag set. The first probe solves from
+    w = 0; each later one starts from the solution of the nearest probe
+    solved so far, whose active set is usually final or one step from it.
     """
     if gamma_max is None:
         gamma_max = default_gamma_max(problem)
@@ -465,7 +488,8 @@ def tune_gamma(
 
     def probe(gamma: float) -> float:
         if gamma not in cache:
-            w = optimize_mvo(problem, gamma)
+            nearest = min(cache, key=lambda g: abs(g - gamma), default=None)
+            w = optimize_mvo(problem, gamma, None if nearest is None else cache[nearest][0])
             cache[gamma] = (w, sharpe_ratio(problem, w))
         return cache[gamma][1]
 

@@ -513,6 +513,18 @@ def test_cli_import_starts_no_process_pool_module():
     assert done.stdout.strip() == "[]"
 
 
+def test_benchmark_imports_no_masked_arrays(tmp_path):
+    # np.unique imports numpy.ma on first use, about 16 ms and 1.4 MiB a run
+    fix = _synth(tmp_path)
+    code = ("import sys; from nestbench.cli import main; "
+            f"code = main(['benchmark', '--returns', {str(fix / 'returns.csv')!r}, "
+            f"'--classification', {str(fix / 'classification.csv')!r}, '--out', {str(tmp_path / 'out')!r}]); "
+            "print(code, 'numpy.ma' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], env=blas_threads_env(1),
+                          check=True, capture_output=True, text=True, timeout=300)
+    assert done.stdout.split()[-2:] == ["0", "False"]
+
+
 def _load_by_path(*parts):
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     spec = importlib.util.spec_from_file_location("_under_test_" + parts[-1][:-3], os.path.join(root, *parts))

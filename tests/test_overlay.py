@@ -209,6 +209,19 @@ class TestOptimizeMvo:
             np.testing.assert_allclose(w, 0.0, rtol=0, atol=1e-15)
             assert kkt_check(problem, gamma, w).ok
 
+    def test_narrow_boxes_meet_constraints_exactly(self):
+        # with both narrow boxes at a bound, too few stocks are free to meet
+        # Q'w = 0; that active set still comes within the 1e-10 feasibility
+        # tolerance, at a point up to 2e-9 from the optimum
+        for modes, bands in ((_MODE_SETS[3], [1.0, 1.0, 1e-8, 1e-8, 0.0]),
+                             (_MODE_SETS[1], [0.0, 1e-8, 1.0, 1e-8, 0.0])):
+            problem = _banded_problem(5, modes, bands)
+            for gamma in default_gamma_max(problem) * np.array([0.1, 1.0, 10.0]):
+                w = optimize_mvo(problem, gamma)
+                assert kkt_check(problem, gamma, w).ok
+                assert np.abs(problem.constraints.T @ w).max() <= 1e-20
+                np.testing.assert_allclose(w, _monotone_walk(problem, gamma), rtol=0, atol=1e-20)
+
     def test_fallback_to_monotone_walk(self, monkeypatch):
         # the primal-dual steps revisit an active set at 0.1 gamma_max and
         # settle where Q'w = 0 is out of reach at 1 and 10 gamma_max
@@ -298,6 +311,32 @@ def test_active_set_property(problem):
         np.testing.assert_allclose(w, _monotone_walk(problem, gamma), rtol=0, atol=1e-10)
 
 
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(_small_problems())
+@example(_banded_problem(71, _MODE_SETS[1], [0.0, 0.0, 0.2]))
+@example(_banded_problem(890, _MODE_SETS[1], [0.3, 1e-10, 1e-10]))
+@example(_banded_problem(166, _MODE_SETS[2], [0.0, 0.0, 0.0, 0.0, 1e-6, 1e-6, 1e-6]))
+@example(_banded_problem(372, _MODE_SETS[2], [0.66, 0.0, 6e-13, 0.0, 0.0, 6e-13, 6e-13]))
+@example(_banded_problem(67, _MODE_SETS[3], [1e-11, 3e-11, 0.5746557529603609]))
+@example(_banded_problem(133, _MODE_SETS[3], [1e-11, 1e-11, 1e-11]))
+@example(_banded_problem(185, _MODE_SETS[3], [0.7296676913401973, 3e-11, 3e-11]))
+@example(_banded_problem(172, _MODE_SETS[2], [0.449, 0.768, 0.89]))
+# boxes 1e-8 of the benchmark wide (test_narrow_boxes_meet_constraints_exactly)
+@example(_banded_problem(5, _MODE_SETS[3], [1.0, 1.0, 1e-8, 1e-8, 0.0]))
+@example(_banded_problem(5, _MODE_SETS[1], [0.0, 1e-8, 1.0, 1e-8, 0.0]))
+def test_warm_started_solve_property(problem):
+    # a start from the optimum at another scale is only a guess: every warm
+    # solve must end where the cold one does
+    grid = default_gamma_max(problem) * np.array([1e-3, 1e-2, 1e-1, 1.0, 10.0])
+    cold = [optimize_mvo(problem, gamma) for gamma in grid]
+    for i, gamma in enumerate(grid):
+        for j, start in enumerate(cold):
+            if j != i:
+                w = optimize_mvo(problem, gamma, start)
+                assert kkt_check(problem, gamma, w).ok, (i, j)
+                np.testing.assert_allclose(w, cold[i], rtol=0, atol=1e-10)
+
+
 def _counting_kkt(monkeypatch):
     calls = []
     solve = nestbench.overlay._solve_equality_qp
@@ -367,7 +406,8 @@ class TestTuneGamma:
         for seed in range(6):
             problem, _ = random_overlay_problem(seed, n_range=(50, 60))
             with monkeypatch.context() as patch:
-                patch.setattr(nestbench.overlay, "optimize_mvo", _monotone_walk)
+                patch.setattr(nestbench.overlay, "optimize_mvo",
+                              lambda problem, gamma, start=None: _monotone_walk(problem, gamma))
                 walked = tune_gamma(problem)
             result = tune_gamma(problem)
             assert result.gamma_prime == walked.gamma_prime
@@ -391,6 +431,31 @@ class TestTuneGamma:
             probes = len(result.sharpe_curve) - 1
             assert len(result.active_lower) + len(result.active_upper) > 0.9 * n
             assert len(calls) <= 12 * probes, (n, len(calls), probes)
+
+    def test_warm_probes_equal_cold_probes_in_fewer_steps(self, monkeypatch):
+        # small, strongly coupled instances on which cold primal-dual steps
+        # over-release: 13.7 to 14.3 KKT solves per probe from w = 0
+        cold = nestbench.overlay.optimize_mvo
+        for seed in (1, 4, 6):
+            model = generate(SyntheticSpec(n=200, t=10, clusters=(20, 2), rho=(0.5, 0.3),
+                                           market_rho=0.1, seed=seed)).population_model
+            signal = 0.05 * model.beta.values * np.random.default_rng(2).standard_normal(200)
+            problem = make_overlay_problem(signal, model, benchmark_weights(model).weights,
+                                           modes=("dollar-neutral", "zero-expected-correlation"))
+            with monkeypatch.context() as patch:
+                patch.setattr(nestbench.overlay, "optimize_mvo",
+                              lambda problem, gamma, start=None: cold(problem, gamma))
+                unwarmed = tune_gamma(problem)
+            with monkeypatch.context() as patch:
+                calls = _counting_kkt(patch)
+                result = tune_gamma(problem)
+            assert result.gamma_prime == unwarmed.gamma_prime
+            assert result.sharpe_curve == unwarmed.sharpe_curve
+            assert result.active_lower == unwarmed.active_lower
+            assert result.active_upper == unwarmed.active_upper
+            np.testing.assert_array_equal(result.w_prime, unwarmed.w_prime)
+            probes = len(result.sharpe_curve) - 1
+            assert len(calls) <= 3 * probes, (seed, len(calls), probes)
 
     def test_zero_signal_stays_finite_under_correlation_constraint(self):
         # the bracket must not shrink toward gamma' = 0, where the curvature
