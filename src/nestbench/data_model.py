@@ -202,14 +202,30 @@ def load_returns_csv(path: str | os.PathLike) -> ReturnsPanel:
     return ReturnsPanel(tuple(tickers), dates, values)
 
 
-# A range must be long enough to repay a fork and the wait for a free core.
-_MIN_RANGE_BYTES = 8 << 20
+# The smallest range that repays its fork. Bench files of 0.5-15.4 MB, cut
+# in two on a 2-CPU host: two 2.1 MB ranges parsed 16-35% faster than one in
+# each of three timings, one of them under 23% steal; smaller ranges gained
+# up to 36% in quiet timings but lost up to 34% under steal. A fork costs its
+# parent 1.7 ms (5-11 ms with its reap); a 2 MiB range parses in about 50 ms.
+_MIN_RANGE_BYTES = 2 << 20
 
 
 def _range_count(data_bytes: int) -> int:
     """How many ranges to parse at once: one per usable CPU, each of at
     least ``_MIN_RANGE_BYTES``; one where the platform lacks ``os.fork`` or
-    ``os.sched_getaffinity``."""
+    ``os.sched_getaffinity``.
+
+    The parent forks the k - 1 workers one after another, then parses its
+    own range, so it starts (k - 1) x 1.7 ms late (measured on a 2-CPU host
+    that parses about 25 ms per MB). That is under a quarter of a range's
+    parse up to k = 8: on 2 CPUs a 15.4 MB file spends 1.7 ms forking
+    against 190 ms per range. On 64 CPUs an 80 MB file gets k = 38, 63 ms of
+    forks against 53 ms per range, so there the forks are not well under a
+    range. By the same sums the load still takes half the 236 ms of the 9
+    ranges an 8 MiB floor gave, and k is near that model's best,
+    sqrt(80 MB x 25 ms/MB / 1.7 ms) = 34. No such host was measured, and its
+    fork cost may differ.
+    """
     if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return 1
     return max(1, min(len(os.sched_getaffinity(0)), data_bytes // _MIN_RANGE_BYTES))

@@ -248,7 +248,7 @@ def optimize_mvo(problem: OverlayProblem, gamma_prime: float, start: np.ndarray 
         w, mu, null = _solve_equality_qp(problem.model, curvature, problem.expected_returns, q, free, w_fixed)
         release = _wrong_signs(problem, curvature, w, mu, null, at_lower, at_upper) > 0.0
         clamp_lo, clamp_hi = free & (w < lower - near), free & (w > upper + near)
-        if not (release | clamp_lo | clamp_hi).any() and _meets_constraints(q, w, null):
+        if not (release | clamp_lo | clamp_hi).any() and _meets_constraints(q, w, null, w_fixed):
             return w
         at_lower = (at_lower & ~release) | clamp_lo
         at_upper = (at_upper & ~release) | clamp_hi
@@ -327,13 +327,16 @@ def _cold_start(problem: OverlayProblem):
     return lower, upper, near, problem.pinned.copy(), np.zeros(problem.n_stocks, dtype=bool)
 
 
-def _meets_constraints(q, w, null):
+def _meets_constraints(q, w, null, w_fixed):
     """Whether Q'w = 0 holds within _FEAS_TOL and, where the free rows leave
     directions of mu open (``null``) so that the fixed rows must meet it on
-    their own, also to rounding."""
+    their own, also to rounding. Fixed rows that all hold 0 add nothing to
+    Q'w; w is then often zero only to rounding, where no relative test can
+    pass."""
     residual = np.abs(_dot(q, w))
     return residual.max() <= _FEAS_TOL and (
-        not null.shape[1] or bool(np.all(residual <= _EQ_RTOL * _dot(np.abs(q), np.abs(w)))))
+        not null.shape[1] or not w_fixed.any()
+        or bool(np.all(residual <= _EQ_RTOL * _dot(np.abs(q), np.abs(w)))))
 
 
 def _wrong_signs(problem, curvature, w, mu, null, at_lower, at_upper):

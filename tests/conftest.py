@@ -139,17 +139,25 @@ def blas_threads_env(threads: int) -> dict:
 
 
 @contextlib.contextmanager
-def returns_ranges(k: int):
-    """Make ``load_returns_csv`` cut every returns file with data into up to
-    ``k`` ranges, as on a host with ``k`` usable CPUs. Yields a Counter of
-    the workers forked (``"_fork_worker"``) and of the per-cell parses run
+def usable_cpus(k: int):
+    """Make ``load_returns_csv`` run as on a host with ``k`` usable CPUs,
+    with the range floor it ships with. Yields a Counter of the workers
+    forked (``"_fork_worker"``) and of the per-cell parses run
     (``"_load_returns_slowly"``)."""
     calls = Counter()
     with pytest.MonkeyPatch.context() as patch:
         for name in ("_fork_worker", "_load_returns_slowly"):
             patch.setattr(data_model, name, _counted(getattr(data_model, name), name, calls))
-        patch.setattr(data_model, "_MIN_RANGE_BYTES", 1 if k > 1 else 1 << 62)
         patch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)))
+        yield calls
+
+
+@contextlib.contextmanager
+def returns_ranges(k: int):
+    """``usable_cpus(k)``, with ``load_returns_csv`` cutting every returns
+    file with data into up to ``k`` ranges, however small."""
+    with usable_cpus(k) as calls, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(data_model, "_MIN_RANGE_BYTES", 1 if k > 1 else 1 << 62)
         yield calls
 
 

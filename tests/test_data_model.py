@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_no_child_left, blas_threads_env, returns_ranges
+from conftest import assert_no_child_left, blas_threads_env, returns_ranges, usable_cpus
 
 import nestbench
 from nestbench import (
@@ -26,7 +26,7 @@ from nestbench import (
     write_classification_csv,
     write_returns_csv,
 )
-from nestbench.data_model import _load_returns_slowly, write_csv
+from nestbench.data_model import _MIN_RANGE_BYTES, _load_returns_slowly, _range_count, write_csv
 from nestbench.errors import (
     DuplicateTicker,
     InconsistentNesting,
@@ -271,6 +271,47 @@ class TestParallelParse:
         outcome, forked, slow = _ranged(path, k)
         assert outcome == _outcome(_load_returns_slowly, path)
         assert (forked, slow) == (0, 1)
+
+
+def _returns_file(path, data_bytes):
+    """A returns file whose rows after the header take at least ``data_bytes``."""
+    rng = np.random.default_rng(0)
+    lines = ["ticker," + ",".join(f"D{j}" for j in range(40))]
+    size = 0
+    while size < data_bytes:
+        lines.append(f"T{len(lines)}," + ",".join(map(repr, rng.normal(0.0, 0.02, 40).tolist())))
+        size += len(lines[-1]) + 1
+    return _write(path, "\n".join(lines) + "\n")
+
+
+class TestShippedRangeFloor:
+    # only the CPU count is patched: these pin the floor the loader ships with
+
+    def test_file_just_over_two_floors_forks_one_worker(self, tmp_path):
+        path = _returns_file(tmp_path / "r.csv", 2 * _MIN_RANGE_BYTES + 50_000)
+        with usable_cpus(1) as calls:
+            alone = _outcome(load_returns_csv, path)
+        assert (calls["_fork_worker"], calls["_load_returns_slowly"]) == (0, 0)
+        with usable_cpus(2) as calls:
+            assert _outcome(load_returns_csv, path) == alone
+        assert_no_child_left()
+        assert (calls["_fork_worker"], calls["_load_returns_slowly"]) == (1, 0)
+
+    def test_small_file_forks_none(self, tmp_path):
+        path = _returns_file(tmp_path / "r.csv", 1_300_000)
+        with usable_cpus(2) as calls:
+            panel = load_returns_csv(path)
+        assert panel.values.shape[1] == 40
+        assert (calls["_fork_worker"], calls["_load_returns_slowly"]) == (0, 0)
+
+    @pytest.mark.parametrize("cpus, data_mb, k", [
+        (1, 1.3, 1), (1, 15.4, 1), (1, 80.0, 1),
+        (2, 1.3, 1), (2, 15.4, 2), (2, 80.0, 2),
+        (64, 80.0, 38),
+    ])
+    def test_range_count(self, monkeypatch, cpus, data_mb, k):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        assert _range_count(round(data_mb * 1e6)) == k
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc/self/status")

@@ -226,18 +226,28 @@ class TestOptimizeMvo:
         # the primal-dual steps revisit an active set at 0.1 gamma_max and
         # settle where Q'w = 0 is out of reach at 1 and 10 gamma_max
         problem = _banded_problem(172, _MODE_SETS[2], [0.449, 0.768, 0.89])
-        walks = []
-
-        def counted(*args):
-            walks.append(1)
-            return _monotone_walk(*args)
-
-        monkeypatch.setattr(nestbench.overlay, "_monotone_walk", counted)
+        walks = _counting_walk(monkeypatch)
         for gamma in default_gamma_max(problem) * np.array([0.1, 1.0, 10.0]):
             walks.clear()
             w = optimize_mvo(problem, gamma)
             assert walks == [1]
             assert kkt_check(problem, gamma, w).ok
+
+    def test_pinned_active_sets_skip_the_walk(self, monkeypatch):
+        # an active set that leaves directions of mu open with every active
+        # stock pinned holds w = 0 to rounding: it is accepted, not walked.
+        # A stop test that also asked such sets for rounding-level residuals
+        # walked 366 of these 1,000 solves; this one walks 327
+        walks = _counting_walk(monkeypatch)
+        for seed in range(200):
+            rng = np.random.default_rng([seed, 99])
+            n = int(rng.integers(3, 9))
+            modes = _MODE_SETS[int(rng.integers(4))]
+            bands = np.where(rng.uniform(size=n) < 0.3, 0.0, rng.uniform(size=n))
+            problem = _banded_problem(seed, modes, bands)
+            for gamma in default_gamma_max(problem) * np.array([1e-3, 1e-2, 1e-1, 1.0, 10.0]):
+                np.testing.assert_array_equal(optimize_mvo(problem, gamma), _monotone_walk(problem, gamma))
+        assert len(walks) < 366
 
 
 class TestWarmStart:
@@ -335,6 +345,17 @@ def test_warm_started_solve_property(problem):
                 w = optimize_mvo(problem, gamma, start)
                 assert kkt_check(problem, gamma, w).ok, (i, j)
                 np.testing.assert_allclose(w, cold[i], rtol=0, atol=1e-10)
+
+
+def _counting_walk(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return _monotone_walk(*args)
+
+    monkeypatch.setattr(nestbench.overlay, "_monotone_walk", counted)
+    return calls
 
 
 def _counting_kkt(monkeypatch):
