@@ -32,7 +32,7 @@ from .data_model import (
     write_json,
     write_returns_csv,
 )
-from .errors import InputError, ModelError, NoConvergence
+from .errors import DuplicateTicker, InputError, ModelError, NoConvergence
 from .overlay import check_modes, make_overlay_problem, residualize, tune_gamma
 from .risk_model import ThetaFitConfig, build_russian_doll, save_model
 from .risk_model import assemble_dense  # noqa: F401  (perfbench/trace_layers.py wraps this name here)
@@ -264,7 +264,11 @@ def _load_index_returns(path, panel) -> np.ndarray:
 
 
 def _load_ticker_values(path, panel, column: str) -> np.ndarray:
-    table = dict(read_keyed_csv(path, ("ticker", column)))
+    table: dict[str, float] = {}
+    for ticker, value in read_keyed_csv(path, ("ticker", column)):
+        if ticker in table:
+            raise DuplicateTicker(ticker, path)
+        table[ticker] = value
     missing = [t for t in panel.tickers if t not in table]
     if missing:
         raise InputError(f"{path}: missing {column} for {missing[:5]}")

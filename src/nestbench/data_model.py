@@ -15,6 +15,7 @@ import csv
 import json
 import math
 import os
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,13 +51,10 @@ class ReturnsPanel:
             raise InputError(f"need at least 2 tickers, got {n}")
         if t < 2:
             raise InsufficientObservations(t)
-        seen: set[str] = set()
-        for tic in self.tickers:
-            if tic in seen:
-                raise DuplicateTicker(tic)
-            seen.add(tic)
-        if len(set(self.dates)) != t:
-            raise InputError("duplicate date labels")
+        if (tic := _first_repeat(self.tickers)) is not None:
+            raise DuplicateTicker(tic)
+        if (date := _first_repeat(self.dates)) is not None:
+            raise InputError(f"duplicate date label: {date!r}")
         if not np.all(np.isfinite(values)):
             i, s = np.argwhere(~np.isfinite(values))[0]
             raise InputError(f"non-finite return for {self.tickers[i]!r} at {self.dates[s]!r}")
@@ -69,6 +67,16 @@ class ReturnsPanel:
     @property
     def n_periods(self) -> int:
         return len(self.dates)
+
+
+def _first_repeat(labels):
+    """The first label that appears a second time, or None."""
+    seen = set()
+    for label in labels:
+        if label in seen:
+            return label
+        seen.add(label)
+    return None
 
 
 @dataclass(frozen=True)
@@ -171,30 +179,26 @@ class SingletonCluster:
 def load_returns_csv(path: str | os.PathLike) -> ReturnsPanel:
     """Load a returns panel from ``ticker,<date1>,...,<dateT>`` CSV.
 
-    The numbers go through numpy's C parser. A large file is cut into line-
+    The cells go through a vectorized decimal parser (``_parse_cells``)
+    that gives each exactly ``float``'s bits. A large file is cut into line-
     aligned byte ranges, one per usable core, parsed at once by forked
     workers into one shared array; the values are the same bits whatever the
-    number of ranges. A file the parser would read differently from the
-    ``csv`` module and ``float`` (quoted labels, ragged rows, a cell it
-    refuses) is parsed again cell by cell, so every file loads, or fails
-    naming its first bad cell, exactly as the per-cell parse alone would have
-    it.
+    number of ranges. A file that parser does not take whole (quoted labels,
+    ragged rows, a cell holding anything but digits, signs, a dot or an
+    exponent, a malformed number) is parsed again cell by cell, so every
+    file loads, or fails naming its first bad cell, exactly as the per-cell
+    parse alone would have it.
     """
     tickers: list[str] = []
     try:
         with open(path, "rb") as handle:
-            size = os.fstat(handle.fileno()).st_size
-            lines = _text_lines(handle, size)
-            header = next(filter(None, lines), "")
+            offsets = _line_offsets(handle, os.fstat(handle.fileno()).st_size)
+            header = next(filter(None, _lines(handle, offsets)), b"").decode("utf-8")
             if '"' in header or header.count(",") < 2:
                 raise ValueError("quoted header or fewer than 2 dates")
             dates = tuple(header.split(",")[1:])
-            start = handle.tell()
-            k = _range_count(size - start)
-            if k > 1:
-                values = _parse_in_parallel(path, handle, (start, size), k, len(dates), tickers)
-            else:
-                values = _parse(filter(None, lines), tickers)
+            data = offsets[bisect.bisect_left(offsets, handle.tell()):]
+            values = _parse_ranges(path, handle, data, len(dates), tickers)
     except (OSError, ValueError):  # ValueError includes UnicodeDecodeError
         return _load_returns_slowly(path)
     if values.shape != (len(tickers), len(dates)) or min(values.shape) < 2:
@@ -202,11 +206,13 @@ def load_returns_csv(path: str | os.PathLike) -> ReturnsPanel:
     return ReturnsPanel(tuple(tickers), dates, values)
 
 
-# The smallest range that repays its fork. Bench files of 0.5-15.4 MB, cut
-# in two on a 2-CPU host: two 2.1 MB ranges parsed 16-35% faster than one in
-# each of three timings, one of them under 23% steal; smaller ranges gained
-# up to 36% in quiet timings but lost up to 34% under steal. A fork costs its
-# parent 1.7 ms (5-11 ms with its reap); a 2 MiB range parses in about 50 ms.
+# The smallest range that repays its fork. Files cut from bench-wide's, of
+# 2.1-5.1 MB, parsed in one and in two ranges on a 2-CPU host, 21 shuffled
+# rounds: two ranges were 13-30% faster at every size, and faster in 16 of
+# 21 rounds at 2.1 MB and in 18-20 from 3.1 MB. Before this parser, ranges
+# under 2 MiB gained in quiet timings but lost up to 34% under 23% steal,
+# so the floor stays. A fork costs its parent 1.7 ms (5-11 ms with its
+# reap); a 2 MiB range parses in 30-42 ms.
 _MIN_RANGE_BYTES = 2 << 20
 
 
@@ -217,82 +223,84 @@ def _range_count(data_bytes: int) -> int:
 
     The parent forks the k - 1 workers one after another, then parses its
     own range, so it starts (k - 1) x 1.7 ms late (measured on a 2-CPU host
-    that parses about 25 ms per MB). That is under a quarter of a range's
-    parse up to k = 8: on 2 CPUs a 15.4 MB file spends 1.7 ms forking
-    against 190 ms per range. On 64 CPUs an 80 MB file gets k = 38, 63 ms of
-    forks against 53 ms per range, so there the forks are not well under a
-    range. By the same sums the load still takes half the 236 ms of the 9
-    ranges an 8 MiB floor gave, and k is near that model's best,
-    sqrt(80 MB x 25 ms/MB / 1.7 ms) = 34. No such host was measured, and its
-    fork cost may differ.
+    that parses 12 ms per MB of a large file, 20 of a 2 MB one). On 2 CPUs
+    a 15.4 MB file spends 1.7 ms forking against about 120 ms per range.
+    On 64 CPUs an 80 MB file gets k = 38, 63 ms of forks against 25 ms per
+    range, so there the forks are most of the load. By the same sums the
+    load takes 88 ms, against 120 ms for the 9 ranges an 8 MiB floor gave
+    and 79 ms at that model's best k, sqrt(80 MB x 12 ms/MB / 1.7 ms) = 24.
+    No such host was measured, and its fork cost may differ.
     """
     if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return 1
     return max(1, min(len(os.sched_getaffinity(0)), data_bytes // _MIN_RANGE_BYTES))
 
 
-def _text_lines(handle, stop: int):
-    """Decoded lines from the handle's position to byte ``stop``, without
-    their line ends. A carriage return inside a line raises ValueError: the
-    ``csv`` module would end the line there."""
-    at = handle.tell()
-    while at < stop and (line := handle.readline()):
-        at += len(line)
-        line = line.rstrip(b"\r\n")
-        if b"\r" in line:
-            raise ValueError("carriage return inside a line")
-        yield line.decode("utf-8")
-
-
-def _parse(lines, tickers: list[str]) -> np.ndarray:
-    return np.loadtxt(_numeric_fields(lines, tickers), delimiter=",", comments=None, ndmin=2)
-
-
-def _line_starts(handle, start: int, stop: int) -> list[int]:
-    """Byte offsets of the lines in [start, stop): ``start`` and every byte
-    after a line feed."""
-    starts = [start]
-    handle.seek(start)
-    chunk = bytearray(1 << 20)
-    while start < stop and (n := handle.readinto(chunk)):
+def _line_offsets(handle, size: int) -> list[int]:
+    """Byte offsets of the open file's lines, each line's first byte, and
+    of its end, ``size``."""
+    offsets = [0]
+    handle.seek(0)
+    chunk = bytearray(1 << 16)
+    at = 0
+    while at < size and (n := handle.readinto(chunk)):
         end = chunk.find(b"\n", 0, n)
         while end >= 0:  # one find per line runs at memchr speed
-            starts.append(start + end + 1)
+            offsets.append(at + end + 1)
             end = chunk.find(b"\n", end + 1, n)
-        start += n
-    del starts[bisect.bisect_left(starts, stop):]
-    return starts
+        at += n
+    del offsets[bisect.bisect_left(offsets, size):]
+    offsets.append(size)
+    return offsets
 
 
-def _parse_in_parallel(path, handle, span: tuple[int, int], k: int, width: int, tickers: list[str]) -> np.ndarray:
-    """Parse bytes [start, stop) of the open file in up to ``k`` line-aligned
-    ranges of about equal size, into one N x ``width`` array in anonymous
-    shared memory.
+def _lines(handle, offsets: list[int]):
+    """The lines of the open file between consecutive ``offsets``, as bytes
+    without their line ends. A carriage return inside a line raises
+    ValueError: the ``csv`` module would end the line there."""
+    handle.seek(offsets[0])
+    for start, stop in zip(offsets, offsets[1:]):
+        line = handle.read(stop - start).rstrip(b"\r\n")
+        if b"\r" in line:
+            raise ValueError("carriage return inside a line")
+        yield line
+
+
+def _parse_ranges(path, handle, offsets: list[int], width: int, tickers: list[str]) -> np.ndarray:
+    """Parse the lines between ``offsets`` of the open file into one N x
+    ``width`` array, in up to ``_range_count`` line-aligned ranges of about
+    equal size; in anonymous shared memory where there is more than one.
 
     The parent parses the first range; a forked worker parses each other one
-    into its rows and sends back its tickers. A range that parses to other
-    than one row per line (a blank line, say), a width other than ``width``,
-    or any failed worker raises ValueError, and every worker is reaped
-    before this returns or raises.
+    into its rows and sends back its tickers. A lone range skips blank
+    lines. Where there are more, a range that parses to other than one row
+    per line (a blank line, say), a width other than ``width``, or any
+    failed worker raises ValueError, and every worker is reaped before this
+    returns or raises.
     """
-    import mmap  # imported here, as the CLI's start-up would pay for them at module level
+    n = len(offsets) - 1
+    if n < 1:
+        raise ValueError("no data rows")
+    start, stop = offsets[0], offsets[-1]
+    k = _range_count(stop - start)
+    cuts = {bisect.bisect_left(offsets, start + (stop - start) * j // k) for j in range(1, k)}
+    bounds = sorted(cuts | {0, n})  # row bounds; the set drops empty ranges
+    rows = list(zip(bounds, bounds[1:]))
+    chunk_bytes = min(_CHUNK_BYTES, n * width * 8 // 40)
+    if len(rows) == 1:
+        values = np.empty((n, width))
+        return values[:_fill(values, _lines(handle, offsets), tickers, chunk_bytes)]
+    import mmap  # imported here, as the CLI's start-up and one-range loads would pay for them
     import signal
 
-    start, stop = span
-    starts = _line_starts(handle, start, stop)
-    cuts = {bisect.bisect_left(starts, start + (stop - start) * j // k) for j in range(1, k)}
-    bounds = sorted(cuts | {0, len(starts)})  # row bounds; the set drops empty ranges
-    rows = list(zip(bounds, bounds[1:]))
-    offsets = [*starts, stop]
-    values = np.frombuffer(mmap.mmap(-1, len(starts) * width * 8), dtype=float).reshape(len(starts), width)
+    values = np.frombuffer(mmap.mmap(-1, n * width * 8), dtype=float).reshape(n, width)
     workers: list[tuple[int, int]] = []  # (pid, read end of its ticker pipe)
     failed = True
     try:
         for first, end in rows[1:]:
-            workers.append(_fork_worker(path, offsets[first], offsets[end], values[first:end]))
+            workers.append(_fork_worker(path, offsets[first:end + 1], values[first:end], chunk_bytes))
         first, end = rows[0]
-        handle.seek(offsets[first])
-        _fill(values[first:end], _text_lines(handle, offsets[end]), tickers)
+        _fill_all(values[first:end], _lines(handle, offsets[first:end + 1]), tickers, chunk_bytes)
         sent = []
         for _, fd in workers:
             with open(fd, "rb", closefd=False) as pipe:
@@ -312,22 +320,54 @@ def _parse_in_parallel(path, handle, span: tuple[int, int], k: int, width: int, 
     return values
 
 
-def _fill(out: np.ndarray, lines, tickers: list[str]) -> None:
-    """Parse ``lines`` into ``out``, which must take exactly one row per line."""
-    parsed = _parse(lines, tickers)
-    if parsed.shape != out.shape or len(tickers) != len(out):
+# Bytes of cells parsed in one call of _parse_cells. Its temporaries, about
+# four times its text, should stay in a core's cache: on a 2-CPU host with
+# 2 MiB of L2 per core, 64 KiB chunks took 209-225 ns per cell of bench-long's
+# rows and 216-219 of bench-wide's, 256 KiB ones 214-237 and 232-345. A
+# chunk of a smaller panel takes at most a 40th of the panel's array, so the
+# chunk's lines, its text and the parse's temporaries, about six times the
+# chunk, stay near a seventh of the array.
+_CHUNK_BYTES = 64 << 10
+
+
+def _fill(out: np.ndarray, lines, tickers: list[str], chunk_bytes: int) -> int:
+    """Parse the non-blank ``lines`` into the leading rows of ``out``,
+    about ``chunk_bytes`` at a time, append their tickers and return their
+    count. A quoted ticker or a row of other than ``out``'s width raises
+    ValueError: the ``csv`` module would read those differently."""
+    row, chunk, size = 0, [], 0
+    for line in lines:
+        if not line:
+            continue
+        ticker, _, numbers = line.partition(b",")
+        if b'"' in ticker:
+            raise ValueError(f"row {len(tickers) + 1} has a quoted ticker")
+        tickers.append(ticker.decode("utf-8"))
+        chunk.append(numbers)
+        size += len(numbers)
+        if size >= chunk_bytes:
+            _parse_cells(b"\n".join([*chunk, b""]), out[row:row + len(chunk)])
+            row, chunk, size = row + len(chunk), [], 0
+    if chunk:
+        _parse_cells(b"\n".join([*chunk, b""]), out[row:row + len(chunk)])
+    return row + len(chunk)
+
+
+def _fill_all(out: np.ndarray, lines, tickers: list[str], chunk_bytes: int) -> None:
+    """``_fill``, which must take exactly one row of ``out`` per line."""
+    if _fill(out, lines, tickers, chunk_bytes) != len(out):
         raise ValueError("range rows do not match its lines")
-    out[...] = parsed
 
 
-def _fork_worker(path, start: int, stop: int, out: np.ndarray) -> tuple[int, int]:
-    """Fork a worker that parses bytes [start, stop) of ``path`` into
-    ``out`` and writes its tickers, one per line, to a pipe; return its pid
-    and the pipe's read end. Tickers on the fast path hold no line feed.
+def _fork_worker(path, offsets: list[int], out: np.ndarray, chunk_bytes: int) -> tuple[int, int]:
+    """Fork a worker that parses the lines between ``offsets`` of ``path``
+    into ``out``, ``chunk_bytes`` at a time, and writes its tickers, one per
+    line, to a pipe; return its pid and the pipe's read end. Tickers on the
+    fast path hold no line feed.
 
-    The worker runs numpy's parser only, never BLAS, so the threads a BLAS
-    library may have started in the parent are not needed in it. It leaves
-    by ``os._exit`` on every path, so it never returns into its caller, and
+    The worker runs numpy only, never BLAS, so the threads a BLAS library
+    may have started in the parent are not needed in it. It leaves by
+    ``os._exit`` on every path, so it never returns into its caller, and
     exits 1 on any error.
     """
     read_end, write_end = os.pipe()
@@ -345,8 +385,7 @@ def _fork_worker(path, start: int, stop: int, out: np.ndarray) -> tuple[int, int
         os.close(read_end)
         tickers: list[str] = []
         with open(path, "rb") as handle:  # its own offset: the parent's fd shares one
-            handle.seek(start)
-            _fill(out, _text_lines(handle, stop), tickers)
+            _fill_all(out, _lines(handle, offsets), tickers, chunk_bytes)
         with open(write_end, "wb") as pipe:
             pipe.write("\n".join(tickers).encode("utf-8"))
         code = 0
@@ -354,26 +393,126 @@ def _fork_worker(path, start: int, stop: int, out: np.ndarray) -> tuple[int, int
         os._exit(code)
 
 
-# float() refuses these ASCII separators, which numpy's parser strips as blanks
-_INFORMATION_SEPARATORS = "\x1c\x1d\x1e\x1f"
+# Clinger's fast path: with m and 10^s exact, m * 10^s and m / 10^s are one
+# correctly rounded operation each. A 64-bit significand holds |m| < 10^18
+# and 10^s up to s = 27 (5^27 < 2^63). The sum fails where long double is
+# double, or where the x87 unit is set to round to 53 bits.
+_EXACT_LONG_DOUBLE = bool(np.longdouble(1) + np.longdouble(2) ** -63 != 1)
+_MAX_MANTISSA, _MAX_SCALE = 10**18, 27
+_POW10 = np.multiply.accumulate(np.r_[1, np.full(_MAX_SCALE, 10)].astype(np.longdouble))
+_POW10_OF_SCALE = np.r_[_POW10[:0:-1], _POW10]  # 10^|s| at s + _MAX_SCALE
+# Every byte a row may hold on the fast path; the csv module and float read
+# anything else, blanks and quotes among it, cell by cell.
+_NUMERIC = b"0123456789.eE+-,\n"
+# For numpy's integer reader: an exponent or a row's end starts a number,
+# and a byte outside _NUMERIC becomes one the reader stops at
+_TO_INTEGERS = bytes(c if c in b"0123456789+-," else ord(",") if c in b"eE\n" else ord("x") for c in range(256))
+_COMMA, _DOT, _E, _LF = b",.e\n"
+_IS_DIGIT, _IS_SIGN = np.zeros((2, 256), dtype=bool)
+_IS_DIGIT[48:58] = True
+_IS_SIGN[list(b"+-")] = True
 
 
-def _numeric_fields(lines, tickers: list[str]):
-    """Yield each row's text after its ticker and append the ticker.
+def _parse_cells(text: bytes, out: np.ndarray) -> None:
+    """Parse ``text``, the rows of the 2-d ``out`` with their cells
+    separated by commas and each row ended by a line feed, into ``out``
+    with exactly ``float``'s bits. A cell ``float`` refuses, a byte outside
+    ``_NUMERIC`` or a row of other than ``out``'s width raises ValueError.
 
-    Raises ValueError where ``np.loadtxt`` would part from the per-cell
-    parse: a quoted ticker, a row with no numeric text (loadtxt skips it),
-    a cell holding an information separator, or no rows at all (loadtxt
-    warns on empty input).
+    Each cell is read as a decimal m x 10^s: m is its digits with the dot
+    dropped, s its exponent less the digits after the dot. The long double
+    result is narrowed to a double, which is exact unless it fell on a tie
+    between two doubles. ``float`` reads those cells again, and the cells
+    off the fast path: m = 0 (for its sign), |m| >= 10^18 and |s| > 27.
+    On the fast path every result lies within 10^-27 <= |m x 10^s| < 10^45,
+    so none overflows or falls subnormal.
     """
-    for line in lines:
-        ticker, _, numbers = line.partition(",")
-        if '"' in ticker or not numbers or any(c in numbers for c in _INFORMATION_SEPARATORS):
-            raise ValueError(f"row {len(tickers) + 1} needs the per-cell parse")
-        tickers.append(ticker)
-        yield numbers
-    if not tickers:
-        raise ValueError("no data rows")
+    b = np.frombuffer(text, dtype=np.uint8)
+    ends = ((b == _COMMA) | (b == _LF)).nonzero()[0]
+    if len(ends) != out.size or not (b[ends[out.shape[1] - 1::out.shape[1]]] == _LF).all():
+        raise ValueError("a row of other than out's width")
+    out = out.reshape(-1)
+    if not _EXACT_LONG_DOUBLE:
+        if text.translate(None, _NUMERIC):
+            raise ValueError("a byte outside the numeric rows' alphabet")
+        out[...] = _read_numbers(text.replace(b"\n", b","), float, out.size)
+        return
+    exps = (b | 0x20 == _E).nonzero()[0]
+    exp_cells = np.searchsorted(ends, exps)
+    scale = _dot_scales(b, ends, exps, exp_cells)
+    numbers = _read_numbers(text.replace(b".", b"").translate(_TO_INTEGERS), np.int64, len(ends) + len(exps))
+    if len(exps):
+        exponents = exp_cells + np.arange(1, len(exps) + 1)
+        scale[exp_cells] += numbers[exponents]
+        numbers = np.delete(numbers, exponents)
+    # the reader saturates an overflow, at either end, to one of int64's
+    slow = (numbers >= _MAX_MANTISSA) | (numbers <= -_MAX_MANTISSA) | (numbers == 0)
+    slow |= (scale > _MAX_SCALE) | (scale < -_MAX_SCALE)
+    exact = numbers.astype(np.longdouble)
+    power = _POW10_OF_SCALE.take(scale + _MAX_SCALE, mode="clip")
+    down = scale < 0
+    np.divide(exact, power, out=exact, where=down)
+    np.multiply(exact, power, out=exact, where=~down)
+    out[...] = exact
+    slow |= _narrowed_from_a_tie(exact, out)
+    for cell in slow.nonzero()[0].tolist():
+        out[cell] = float(text[ends[cell - 1] + 1 if cell else 0:ends[cell]])
+
+
+def _dot_scales(b: np.ndarray, ends: np.ndarray, exps: np.ndarray, exp_cells: np.ndarray) -> np.ndarray:
+    """Minus the digits after the dot of each cell of ``b``; ValueError
+    where the dots, signs and exponents do not fit ``float``'s syntax in a
+    way numpy's integer reader lets through."""
+    if (exp_cells[1:] <= exp_cells[:-1]).any():
+        raise ValueError("two exponents in a cell")
+    dots = (b == _DOT).nonzero()[0]
+    mantissa_ends = ends.copy()
+    mantissa_ends[exp_cells] = exps
+    if len(dots) == len(ends):  # a dot in every cell, unless a cell has two
+        if (dots[1:] < ends[:-1]).any():
+            raise ValueError("two dots in a cell")
+        scale = dots + 1 - mantissa_ends
+    else:
+        dot_cells = np.searchsorted(ends, dots)
+        if (dot_cells[1:] <= dot_cells[:-1]).any():
+            raise ValueError("two dots in a cell")
+        scale = np.zeros(len(ends), dtype=np.int64)
+        scale[dot_cells] = dots + 1 - mantissa_ends[dot_cells]
+    if (scale > 0).any():
+        raise ValueError("a dot after the exponent")
+    # the reader takes a lone sign as 0: so no sign may follow a dot, and an
+    # exponent needs a digit after its sign
+    after = b[exps + 1]
+    if _IS_SIGN[b[dots + 1]].any() or not (
+        _IS_DIGIT[after] | (_IS_SIGN[after] & _IS_DIGIT[b.take(exps + 2, mode="clip")])
+    ).all():
+        raise ValueError("a sign out of place or an exponent without digits")
+    return scale
+
+
+def _narrowed_from_a_tie(exact: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Where narrowing the long doubles ``exact`` to ``out`` may have rounded
+    wrongly. It rounds a second time, which goes wrong only from a tie: then
+    exact - out is half the spacing of out, or a quarter of it below a
+    power of two. Overwrites ``exact``."""
+    exact -= out
+    ratio = exact.astype(float)  # exact: a few bits below out's last
+    ratio /= np.spacing(out)  # exact: the spacing is a power of two
+    np.abs(ratio, out=ratio)
+    return (ratio == 0.5) | (ratio == 0.25)
+
+
+def _read_numbers(text: bytes, dtype, count: int) -> np.ndarray:
+    """numpy's reader over comma-separated ``text``, which must yield
+    exactly ``count`` numbers."""
+    with warnings.catch_warnings():
+        # numpy before 2.4 returns what it read of a malformed string, with
+        # a DeprecationWarning; later numpy raises ValueError
+        warnings.simplefilter("ignore", DeprecationWarning)
+        numbers = np.fromstring(text, dtype=dtype, sep=",")
+    if len(numbers) != count:
+        raise ValueError("a cell numpy's reader stops at")
+    return numbers
 
 
 def _load_returns_slowly(path) -> ReturnsPanel:

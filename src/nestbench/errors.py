@@ -25,8 +25,8 @@ class MissingInputFile(InputError):
 
 
 class DuplicateTicker(InputError):
-    def __init__(self, ticker):
-        super().__init__(f"duplicate ticker: {ticker!r}")
+    def __init__(self, ticker, path=None):
+        super().__init__(f"{path}: duplicate ticker {ticker!r}" if path else f"duplicate ticker: {ticker!r}")
         self.ticker = ticker
 
 

@@ -423,6 +423,30 @@ class TestKeyedInputs:
         err = capsys.readouterr().err
         assert str(beta_file) in err and "'S0003'" in err
 
+    def test_repeated_ticker_in_beta_file(self, tmp_path, capsys):
+        fix = _synth(tmp_path)
+        rows = [["ticker", "beta"]] + [[r[0], "1.0"] for r in _returns_rows(fix)[1:]]
+        rows.append([rows[3][0], "2.0"])  # a later row would overwrite the first
+        beta_file = _write_rows(tmp_path / "beta.csv", rows)
+        code = run("betas", "--returns", str(fix / "returns.csv"), "--beta-mode", "explicit",
+                   "--beta-file", str(beta_file), "--out", str(tmp_path / "o"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(beta_file) in err and "duplicate ticker 'S0003'" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_repeated_ticker_in_expected_returns(self, tmp_path, capsys):
+        fix = _synth(tmp_path)
+        rows = [["ticker", "expected_return"]] + [[r[0], "0.01"] for r in _returns_rows(fix)[1:]]
+        rows.insert(2, [rows[5][0], "0.5"])
+        signal = _write_rows(tmp_path / "e.csv", rows)
+        code = run("overlay", "--returns", str(fix / "returns.csv"),
+                   "--classification", str(fix / "classification.csv"),
+                   "--expected-returns", str(signal), "--out", str(tmp_path / "o"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(signal) in err and "duplicate ticker 'S0005'" in err
+
 
 class TestWeightsFile:
     @pytest.mark.parametrize("edit", [

@@ -1,4 +1,6 @@
 import ast
+import decimal
+import math
 import os
 import re
 import subprocess
@@ -26,7 +28,8 @@ from nestbench import (
     write_classification_csv,
     write_returns_csv,
 )
-from nestbench.data_model import _MIN_RANGE_BYTES, _load_returns_slowly, _range_count, write_csv
+from nestbench import data_model
+from nestbench.data_model import _MIN_RANGE_BYTES, _load_returns_slowly, _parse_cells, _range_count, write_csv
 from nestbench.errors import (
     DuplicateTicker,
     InconsistentNesting,
@@ -74,6 +77,10 @@ _ACCEPTED = {
         "ticker,d1,d2\nA,1_0,\u0661\nB,0.3,0.4\n",
         ("A", "B"), [[10.0, 1.0], [0.3, 0.4]],
     ),
+    "leading space in a cell": (
+        "ticker,d1,d2\nA, 0.1,0.2\nB,0.3,0.4\n",
+        ("A", "B"), [[0.1, 0.2], [0.3, 0.4]],
+    ),
 }
 
 _REJECTED = {
@@ -103,7 +110,19 @@ _REJECTED = {
         "ticker,d1,d2\nA,0.1,0.2\nB,0.3,0.4,0.5\n",
         InputError, "row 2 has 4 fields, expected 3",
     ),
+    "ragged rows of the right total": (
+        "ticker,d1,d2\nA,0.1,0.2,0.3\nB,0.4\n",
+        InputError, "row 1 has 4 fields, expected 3",
+    ),
     "header only": ("ticker,d1,d2\n", InputError, "at least 2 data rows"),
+    # numbers numpy's integer reader would read in part, or as 0; the row
+    # holds as many dots as cells
+    **{
+        f"malformed number {cell}": (
+            f"ticker,d1,d2\nA,0.1,0.2\nB,{cell},4\n", NonNumericCell, f"data row 2, column 1: '{cell}'",
+        )
+        for cell in ("1e5.0", "1e1.0", "1.5e", "+-1", "1.2.3", "1e+", ".-5", "-", "e5", "1e5e3")
+    },
 }
 
 
@@ -121,6 +140,11 @@ class TestLoadReturns:
         with pytest.raises(DuplicateTicker) as err:
             load_returns_csv(path)
         assert err.value.ticker == "A"
+
+    def test_duplicate_date_is_named(self, tmp_path):
+        path = _write(tmp_path / "r.csv", "ticker,d1,d2,d3,d2,d1\nA,0.1,0.2,0.3,0.4,0.5\nB,0,0,0,0,0\n")
+        with pytest.raises(InputError, match=re.escape("duplicate date label: 'd2'")):
+            load_returns_csv(path)
 
     def test_non_numeric_cell(self, tmp_path):
         path = _write(tmp_path / "r.csv", "ticker,d1,d2\nA,0.01,abc\nB,0.0,0.0\n")
@@ -398,7 +422,12 @@ def test_corrupt_cell_is_named(tmp_path_factory, panel, data):
     row = data.draw(st.integers(0, panel.n_stocks - 1))
     col = data.draw(st.integers(0, panel.n_periods - 1))
     bad = data.draw(
-        st.one_of(st.sampled_from(["", "abc", "1.5#x", "1\x1c", "0x1p3", "1,5", '"1"']), st.text(max_size=4))
+        st.one_of(
+            st.sampled_from([
+                "", "abc", "1.5#x", "1\x1c", "0x1p3", "1,5", '"1"', "1e5.0", "1.5e", "+-1", "1e+", ".", "1.2.3", "1e5e3",
+            ]),
+            st.text(max_size=4),
+        )
         .filter(_refused_by_float)
     )
     cells = [[repr(v) for v in values] for values in panel.values.tolist()]
@@ -408,6 +437,73 @@ def test_corrupt_cell_is_named(tmp_path_factory, panel, data):
     with pytest.raises(NonNumericCell) as err:
         load_returns_csv(path)
     assert (err.value.row, err.value.col, err.value.text) == (row + 1, col + 1, bad)
+
+
+_DOUBLES = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.floats(-1e22, 1e22))
+
+
+@st.composite
+def _near_midpoints(draw):
+    """The decimal of 16-18 digits nearest the midpoint of a double and the
+    next one up: the cells where a second rounding can go wrong."""
+    low = draw(_DOUBLES)
+    high = math.nextafter(low, math.inf)
+    assume(math.isfinite(high))
+    with decimal.localcontext(decimal.Context(prec=1100)):  # exact for any two doubles
+        middle = (decimal.Decimal(low) + decimal.Decimal(high)) / 2
+    return f"{middle:.{draw(st.integers(15, 17))}e}"
+
+
+@st.composite
+def _spellings(draw):
+    """Numbers as float reads them: signs, a dot anywhere or none, e or E
+    with a signed exponent up to 40, and mantissas of up to 21 digits."""
+    digits = str(draw(st.one_of(st.integers(0, 10**6), st.integers(10**16, 10**21 - 1))))
+    dot = draw(st.one_of(st.none(), st.integers(0, len(digits))))
+    mantissa = digits if dot is None else f"{digits[:dot]}.{digits[dot:]}"
+    exponent = draw(st.one_of(
+        st.just(""),
+        st.builds("{}{}{}".format, st.sampled_from("eE"), st.sampled_from(["", "+", "-"]), st.integers(0, 40)),
+    ))
+    return draw(st.sampled_from(["", "+", "-"])) + mantissa + exponent
+
+
+_DECIMAL_CELLS = st.one_of(
+    _DOUBLES.map(repr),
+    _near_midpoints(),
+    _spellings(),
+    st.sampled_from(["+1", ".5", "5.", "-.5e-3", "-0", "0e5", "-0.0E+00", "1e-27", "1e27", "1e28"]),
+    # long doubles on the tie above a power of two
+    st.sampled_from(["9.31322574615478619E-10", "8.11296384146066907E+31", "-5.44451787073501602E+39"]),
+)
+
+
+@pytest.mark.parametrize("exact_long_double", [
+    pytest.param(True, marks=pytest.mark.skipif(
+        not data_model._EXACT_LONG_DOUBLE, reason="long double holds no 64-bit significand here"
+    )),
+    False,  # the fallback to numpy's float reader
+])
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.tuples(st.integers(1, 3), st.integers(1, 12)).flatmap(lambda shape: st.lists(
+    st.lists(_DECIMAL_CELLS, min_size=shape[1], max_size=shape[1]), min_size=shape[0], max_size=shape[0]
+)))
+def test_cells_parse_to_the_bits_of_float(exact_long_double, table):
+    text = "".join(",".join(row) + "\n" for row in table).encode()
+    out = np.empty((len(table), len(table[0])))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(data_model, "_EXACT_LONG_DOUBLE", exact_long_double)
+        _parse_cells(text, out)
+    assert out.tobytes() == np.array([[float(cell) for cell in row] for row in table]).tobytes()
+
+
+@pytest.mark.parametrize("exact_long_double", [data_model._EXACT_LONG_DOUBLE, False])
+@pytest.mark.parametrize("text", [b"1,2,3\n4\n", b"1\n2,3,4\n", b"1,2\n3,4", b"1,2\n3 ,4\n", b"1,2\n3,inf\n"])
+def test_cells_refuse_rows_of_another_shape_or_alphabet(exact_long_double, text):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(data_model, "_EXACT_LONG_DOUBLE", exact_long_double)
+        with pytest.raises(ValueError):
+            _parse_cells(text, np.empty((2, 2)))
 
 
 class TestLoadClassification:
