@@ -468,16 +468,11 @@ def _dot_scales(b: np.ndarray, ends: np.ndarray, exps: np.ndarray, exp_cells: np
     dots = (b == _DOT).nonzero()[0]
     mantissa_ends = ends.copy()
     mantissa_ends[exp_cells] = exps
-    if len(dots) == len(ends):  # a dot in every cell, unless a cell has two
-        if (dots[1:] < ends[:-1]).any():
-            raise ValueError("two dots in a cell")
-        scale = dots + 1 - mantissa_ends
-    else:
-        dot_cells = np.searchsorted(ends, dots)
-        if (dot_cells[1:] <= dot_cells[:-1]).any():
-            raise ValueError("two dots in a cell")
-        scale = np.zeros(len(ends), dtype=np.int64)
-        scale[dot_cells] = dots + 1 - mantissa_ends[dot_cells]
+    dot_cells = np.searchsorted(ends, dots)
+    if (dot_cells[1:] <= dot_cells[:-1]).any():
+        raise ValueError("two dots in a cell")
+    scale = np.zeros(len(ends), dtype=np.int64)
+    scale[dot_cells] = dots + 1 - mantissa_ends[dot_cells]
     if (scale > 0).any():
         raise ValueError("a dot after the exponent")
     # the reader takes a lone sign as 0: so no sign may follow a dot, and an
@@ -507,9 +502,14 @@ def _read_numbers(text: bytes, dtype, count: int) -> np.ndarray:
     exactly ``count`` numbers."""
     with warnings.catch_warnings():
         # numpy before 2.4 returns what it read of a malformed string, with
-        # a DeprecationWarning; later numpy raises ValueError
-        warnings.simplefilter("ignore", DeprecationWarning)
-        numbers = np.fromstring(text, dtype=dtype, sep=",")
+        # a DeprecationWarning, where later numpy raises ValueError. Junk
+        # after the last number leaves the count whole, so the warning
+        # refuses the text too.
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            numbers = np.fromstring(text, dtype=dtype, sep=",")
+        except DeprecationWarning:
+            raise ValueError("a cell numpy's reader stops at") from None
     if len(numbers) != count:
         raise ValueError("a cell numpy's reader stops at")
     return numbers

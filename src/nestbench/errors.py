@@ -26,7 +26,7 @@ class MissingInputFile(InputError):
 
 class DuplicateTicker(InputError):
     def __init__(self, ticker, path=None):
-        super().__init__(f"{path}: duplicate ticker {ticker!r}" if path else f"duplicate ticker: {ticker!r}")
+        super().__init__(f"{f'{path}: ' if path else ''}duplicate ticker {ticker!r}")
         self.ticker = ticker
 
 

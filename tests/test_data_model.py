@@ -115,13 +115,20 @@ _REJECTED = {
         InputError, "row 1 has 4 fields, expected 3",
     ),
     "header only": ("ticker,d1,d2\n", InputError, "at least 2 data rows"),
-    # numbers numpy's integer reader would read in part, or as 0; the row
-    # holds as many dots as cells
+    # numbers numpy's integer reader would read in part, or as 0
     **{
         f"malformed number {cell}": (
             f"ticker,d1,d2\nA,0.1,0.2\nB,{cell},4\n", NonNumericCell, f"data row 2, column 1: '{cell}'",
         )
         for cell in ("1e5.0", "1e1.0", "1.5e", "+-1", "1.2.3", "1e+", ".-5", "-", "e5", "1e5e3")
+    },
+    # junk after a number in the file's last cell, where a reader that
+    # stops at it has already counted every cell
+    **{
+        f"junk after the last number {cell}": (
+            f"ticker,d1,d2\nA,0.1,0.2\nB,0.3,{cell}\n", NonNumericCell, f"data row 2, column 2: '{cell}'",
+        )
+        for cell in ("4-", "0.5-", "1-2", "1e5+", "0.5x")
     },
 }
 
@@ -502,6 +509,32 @@ def test_cells_parse_to_the_bits_of_float(exact_long_double, table):
 def test_cells_refuse_rows_of_another_shape_or_alphabet(exact_long_double, text):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(data_model, "_EXACT_LONG_DOUBLE", exact_long_double)
+        with pytest.raises(ValueError):
+            _parse_cells(text, np.empty((2, 2)))
+
+
+def _reader_before_numpy_2_4(text, dtype, sep):
+    """``np.fromstring`` as numpy before 2.4 has it, which warns of a
+    malformed string and returns what it read: here, as the worst case, a
+    number for every cell."""
+    try:
+        return _FROMSTRING(text, dtype=dtype, sep=sep)
+    except ValueError:
+        warnings.warn("string could not be read to its end due to unmatched data", DeprecationWarning)
+        return np.ones(text.count(sep.encode()), dtype=dtype)
+
+
+_FROMSTRING = np.fromstring
+
+
+@pytest.mark.parametrize("exact_long_double", [data_model._EXACT_LONG_DOUBLE, False])
+@pytest.mark.parametrize("reader", [_FROMSTRING, _reader_before_numpy_2_4])
+@pytest.mark.parametrize("cell", ["4-", "4x", "0.5-", "1-2", "1e5+"])
+def test_cells_refuse_junk_after_the_last_number(exact_long_double, reader, cell):
+    text = f"1,2\n3,{cell}\n".encode()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(data_model, "_EXACT_LONG_DOUBLE", exact_long_double)
+        patch.setattr(np, "fromstring", reader)
         with pytest.raises(ValueError):
             _parse_cells(text, np.empty((2, 2)))
 
