@@ -2,7 +2,7 @@
 
 A fitted nested model turns into strictly positive weights through one
 nested solve, a product of per-level normalization factors. Beta
-construction helpers live here too.
+construction, serial-regression betas among it, lives here too.
 """
 
 from __future__ import annotations
@@ -13,10 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_model import BetaVector, ReturnsPanel, write_csv
-from .errors import DegenerateModel, InputError, InvalidBeta
+from .errors import DegenerateBenchmark, DegenerateModel, InputError, InvalidBeta
 from .risk_model import RussianDollModel
-from .stats_core import serial_betas
-from .stats_core import sample_covariance  # noqa: F401  (perfbench/trace_layers.py wraps this name here)
+from .risk_model import sample_covariance  # noqa: F401  (perfbench/trace_layers.py wraps this name here)
 
 BETA_MODES = ("proportional-to-sigma", "observed-capped", "explicit")
 
@@ -77,6 +76,22 @@ def benchmark_weights(model: RussianDollModel) -> BenchmarkResult:
     g0 = model.tree.parent_maps[0]
     gamma = np.bincount(g0, x * model.xi2 / beta) / np.bincount(g0)
     return BenchmarkResult(model.tree.tickers, x / inv_sigma2, 1.0 / inv_sigma2, gamma)
+
+
+def serial_betas(panel: ReturnsPanel, bench_returns: np.ndarray) -> np.ndarray:
+    """Slopes of each stock's return series regressed on ``bench_returns``
+    with intercept."""
+    f = np.asarray(bench_returns, dtype=float)
+    if f.shape != (panel.n_periods,):
+        raise InputError(f"benchmark series has length {f.shape}, expected {panel.n_periods}")
+    f_centered = f - f.mean()
+    # einsum sums in a fixed order; BLAS gemv/dot results change with the
+    # BLAS thread count once the panel is large enough to be split
+    var_f = float(np.einsum("s,s->", f_centered, f_centered))
+    if var_f <= 0.0:
+        raise DegenerateBenchmark("benchmark returns have zero sample variance")
+    centered = panel.values - panel.values.mean(axis=1, keepdims=True)
+    return np.einsum("is,s->i", centered, f_centered) / var_f
 
 
 def make_betas(

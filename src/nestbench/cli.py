@@ -3,7 +3,7 @@ standalone betas, and synthetic fixture generation.
 
 Every run is deterministic given its inputs and seed; the effective config is
 echoed into each JSON sidecar. Exit codes: 0 success, 2 input error, 3 model
-error, 4 optimizer non-convergence.
+error, 4 optimizer non-convergence or a failed KKT certificate.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import sys
 import numpy as np
 
 from .benchmark import (
+    BETA_MODES,
     BenchmarkResult,
     BetaSpec,
     benchmark_weights,
@@ -32,11 +33,10 @@ from .data_model import (
     write_json,
     write_returns_csv,
 )
-from .errors import DuplicateTicker, InputError, ModelError, NoConvergence
+from .errors import DuplicateTicker, InputError, ModelError, SolverError
 from .overlay import check_modes, make_overlay_problem, residualize, tune_gamma
 from .risk_model import ThetaFitConfig, build_russian_doll, save_model
-from .risk_model import assemble_dense  # noqa: F401  (perfbench/trace_layers.py wraps this name here)
-from .stats_core import sample_covariance  # noqa: F401  (perfbench/trace_layers.py wraps this name here)
+from .risk_model import assemble_dense, sample_covariance  # noqa: F401  (perfbench/trace_layers.py wraps these names here)
 from .synthetic import SyntheticSpec, generate
 
 EXIT_OK = 0
@@ -55,7 +55,7 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     try:
         return args.handler(args)
-    except NoConvergence as exc:
+    except SolverError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except ModelError as exc:
@@ -106,25 +106,24 @@ def _build_parser() -> argparse.ArgumentParser:
     synth.set_defaults(handler=cmd_synth)
 
     betas = sub.add_parser("betas", help="compute a beta vector on its own")
-    betas.add_argument("--returns", help="returns CSV")
-    betas.add_argument("--beta-mode", choices=("proportional-to-sigma", "observed-capped", "explicit"))
-    betas.add_argument("--index-returns", help="CSV date,value (observed-capped mode)")
-    betas.add_argument("--beta-file", help="CSV ticker,beta (explicit mode)")
-    betas.add_argument("--kappa-max", type=float)
-    betas.add_argument("--kappa-min", type=float)
+    _add_beta_flags(betas)
     betas.add_argument("--out", help="output directory")
     betas.set_defaults(handler=cmd_betas)
     return parser
 
 
-def _add_model_flags(sub: argparse.ArgumentParser) -> None:
+def _add_beta_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--returns", help="returns CSV")
-    sub.add_argument("--classification", help="classification CSV")
-    sub.add_argument("--beta-mode", choices=("proportional-to-sigma", "observed-capped", "explicit"))
+    sub.add_argument("--beta-mode", choices=BETA_MODES)
     sub.add_argument("--index-returns", help="CSV date,value (observed-capped mode)")
     sub.add_argument("--beta-file", help="CSV ticker,beta (explicit mode)")
     sub.add_argument("--kappa-max", type=float)
     sub.add_argument("--kappa-min", type=float)
+
+
+def _add_model_flags(sub: argparse.ArgumentParser) -> None:
+    _add_beta_flags(sub)
+    sub.add_argument("--classification", help="classification CSV")
     sub.add_argument("--z-min", type=float)
     sub.add_argument("--z-max", type=float)
     sub.add_argument("--mkt-fac", dest="mkt_fac", action="store_true", default=None)

@@ -286,10 +286,9 @@ def _parse_ranges(path, handle, offsets: list[int], width: int, tickers: list[st
     cuts = {bisect.bisect_left(offsets, start + (stop - start) * j // k) for j in range(1, k)}
     bounds = sorted(cuts | {0, n})  # row bounds; the set drops empty ranges
     rows = list(zip(bounds, bounds[1:]))
-    chunk_bytes = min(_CHUNK_BYTES, n * width * 8 // 40)
     if len(rows) == 1:
         values = np.empty((n, width))
-        return values[:_fill(values, _lines(handle, offsets), tickers, chunk_bytes)]
+        return values[:_fill(values, _lines(handle, offsets), tickers)]
     import mmap  # imported here, as the CLI's start-up and one-range loads would pay for them
     import signal
 
@@ -298,9 +297,9 @@ def _parse_ranges(path, handle, offsets: list[int], width: int, tickers: list[st
     failed = True
     try:
         for first, end in rows[1:]:
-            workers.append(_fork_worker(path, offsets[first:end + 1], values[first:end], chunk_bytes))
+            workers.append(_fork_worker(path, offsets[first:end + 1], values[first:end]))
         first, end = rows[0]
-        _fill_all(values[first:end], _lines(handle, offsets[first:end + 1]), tickers, chunk_bytes)
+        _fill_all(values[first:end], _lines(handle, offsets[first:end + 1]), tickers)
         sent = []
         for _, fd in workers:
             with open(fd, "rb", closefd=False) as pipe:
@@ -323,16 +322,13 @@ def _parse_ranges(path, handle, offsets: list[int], width: int, tickers: list[st
 # Bytes of cells parsed in one call of _parse_cells. Its temporaries, about
 # four times its text, should stay in a core's cache: on a 2-CPU host with
 # 2 MiB of L2 per core, 64 KiB chunks took 209-225 ns per cell of bench-long's
-# rows and 216-219 of bench-wide's, 256 KiB ones 214-237 and 232-345. A
-# chunk of a smaller panel takes at most a 40th of the panel's array, so the
-# chunk's lines, its text and the parse's temporaries, about six times the
-# chunk, stay near a seventh of the array.
+# rows and 216-219 of bench-wide's, 256 KiB ones 214-237 and 232-345.
 _CHUNK_BYTES = 64 << 10
 
 
-def _fill(out: np.ndarray, lines, tickers: list[str], chunk_bytes: int) -> int:
+def _fill(out: np.ndarray, lines, tickers: list[str]) -> int:
     """Parse the non-blank ``lines`` into the leading rows of ``out``,
-    about ``chunk_bytes`` at a time, append their tickers and return their
+    about ``_CHUNK_BYTES`` at a time, append their tickers and return their
     count. A quoted ticker or a row of other than ``out``'s width raises
     ValueError: the ``csv`` module would read those differently."""
     row, chunk, size = 0, [], 0
@@ -345,7 +341,7 @@ def _fill(out: np.ndarray, lines, tickers: list[str], chunk_bytes: int) -> int:
         tickers.append(ticker.decode("utf-8"))
         chunk.append(numbers)
         size += len(numbers)
-        if size >= chunk_bytes:
+        if size >= _CHUNK_BYTES:
             _parse_cells(b"\n".join([*chunk, b""]), out[row:row + len(chunk)])
             row, chunk, size = row + len(chunk), [], 0
     if chunk:
@@ -353,17 +349,16 @@ def _fill(out: np.ndarray, lines, tickers: list[str], chunk_bytes: int) -> int:
     return row + len(chunk)
 
 
-def _fill_all(out: np.ndarray, lines, tickers: list[str], chunk_bytes: int) -> None:
+def _fill_all(out: np.ndarray, lines, tickers: list[str]) -> None:
     """``_fill``, which must take exactly one row of ``out`` per line."""
-    if _fill(out, lines, tickers, chunk_bytes) != len(out):
+    if _fill(out, lines, tickers) != len(out):
         raise ValueError("range rows do not match its lines")
 
 
-def _fork_worker(path, offsets: list[int], out: np.ndarray, chunk_bytes: int) -> tuple[int, int]:
+def _fork_worker(path, offsets: list[int], out: np.ndarray) -> tuple[int, int]:
     """Fork a worker that parses the lines between ``offsets`` of ``path``
-    into ``out``, ``chunk_bytes`` at a time, and writes its tickers, one per
-    line, to a pipe; return its pid and the pipe's read end. Tickers on the
-    fast path hold no line feed.
+    into ``out`` and writes its tickers, one per line, to a pipe; return its
+    pid and the pipe's read end. Tickers on the fast path hold no line feed.
 
     The worker runs numpy only, never BLAS, so the threads a BLAS library
     may have started in the parent are not needed in it. It leaves by
@@ -385,7 +380,7 @@ def _fork_worker(path, offsets: list[int], out: np.ndarray, chunk_bytes: int) ->
         os.close(read_end)
         tickers: list[str] = []
         with open(path, "rb") as handle:  # its own offset: the parent's fd shares one
-            _fill_all(out, _lines(handle, offsets), tickers, chunk_bytes)
+            _fill_all(out, _lines(handle, offsets), tickers)
         with open(write_end, "wb") as pipe:
             pipe.write("\n".join(tickers).encode("utf-8"))
         code = 0

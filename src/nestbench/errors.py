@@ -2,7 +2,8 @@
 
 The three bases group failures by who can fix them: bad inputs (files,
 configs, shapes), numerical preconditions of the model construction, and
-solver non-convergence. The CLI maps them to exit codes 2, 3 and 4.
+an optimizer that does not converge or whose solution fails its optimality
+certificate. The CLI maps them to exit codes 2, 3 and 4.
 """
 
 
@@ -15,7 +16,7 @@ class ModelError(Exception):
 
 
 class SolverError(Exception):
-    """An iterative solver did not reach its termination criteria."""
+    """An optimizer did not converge, or its solution failed its KKT check."""
 
 
 class MissingInputFile(InputError):
@@ -42,8 +43,8 @@ class NonNumericCell(InputError):
 
 
 class InsufficientObservations(InputError):
-    def __init__(self, t, minimum=2):
-        super().__init__(f"need at least {minimum} observations, got {t}")
+    def __init__(self, t):
+        super().__init__(f"need at least 2 observations, got {t}")
         self.t = t
 
 
@@ -71,10 +72,6 @@ class InvalidBeta(InputError):
 
 class DegenerateBenchmark(ModelError):
     """Benchmark return series has zero sample variance."""
-
-
-class DegeneratePortfolioVariance(ModelError):
-    """w'Cw <= 0; only possible for non-positive-semidefinite input."""
 
 
 class InvalidVariance(ModelError):
@@ -121,7 +118,6 @@ class LongOnlyViolation(ModelError):
 
 
 class NoConvergence(SolverError):
-    def __init__(self, iterations, last_iterate=None):
+    def __init__(self, iterations):
         super().__init__(f"optimizer did not converge within {iterations} iterations")
         self.iterations = iterations
-        self.last_iterate = last_iterate

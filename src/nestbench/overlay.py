@@ -22,6 +22,7 @@ from .errors import (
     LongOnlyViolation,
     NoConvergence,
     SingularCovariance,
+    SolverError,
 )
 from .risk_model import RussianDollModel
 
@@ -119,6 +120,7 @@ class KKTReport:
     bound_violation: float
     active_lower: tuple[int, ...]
     active_upper: tuple[int, ...]
+    worst: str = ""  # the residual with the largest share of its tolerance, and both
 
 
 @dataclass(frozen=True)
@@ -274,7 +276,7 @@ def _monotone_walk(problem: OverlayProblem, gamma_prime: float) -> np.ndarray:
         while True:
             iterations += 1
             if iterations > max_iter:
-                raise NoConvergence(max_iter, w)
+                raise NoConvergence(max_iter)
             free = ~(at_lower | at_upper)
             w_fixed = np.where(at_lower, lower, 0.0) + np.where(at_upper, upper, 0.0)
             target, mu, null = _solve_equality_qp(problem.model, curvature, e, q, free, w_fixed)
@@ -422,20 +424,22 @@ def kkt_check(problem: OverlayProblem, gamma_prime: float, w_prime: np.ndarray) 
     bound_violation = float(
         np.maximum(np.maximum(problem.lower - w, w - problem.upper), 0.0).max()
     )
-    ok = (
-        stationarity <= _KKT_TOL * scale
-        and multiplier_violation <= _KKT_TOL * scale
-        and eq_residual <= _FEAS_TOL
-        and bound_violation <= _FEAS_TOL
-    )
+    residuals = {  # name: (value, tolerance)
+        "stationarity": (stationarity, _KKT_TOL * scale),
+        "multiplier violation": (multiplier_violation, _KKT_TOL * scale),
+        "equality residual": (eq_residual, _FEAS_TOL),
+        "bound violation": (bound_violation, _FEAS_TOL),
+    }
+    worst = max(residuals, key=lambda name: residuals[name][0] / residuals[name][1])
     return KKTReport(
-        ok,
+        all(value <= tol for value, tol in residuals.values()),
         stationarity,
         multiplier_violation,
         eq_residual,
         bound_violation,
         tuple(np.flatnonzero(at_lower & ~pinned)),
         tuple(np.flatnonzero(at_upper & ~pinned)),
+        "{} {:.3g} against a tolerance of {:.3g}".format(worst, *residuals[worst]),
     )
 
 
@@ -479,6 +483,8 @@ def tune_gamma(
     gamma_max with the saturation flag set. The first probe solves from
     w = 0; each later one starts from the solution of the nearest probe
     solved so far, whose active set is usually final or one step from it.
+    A tuned sleeve that fails ``kkt_check`` raises SolverError naming the
+    residual furthest past its tolerance.
     """
     if gamma_max is None:
         gamma_max = default_gamma_max(problem)
@@ -527,6 +533,8 @@ def tune_gamma(
         if gamma_opt > 0.0
         else KKTReport(True, 0.0, 0.0, 0.0, 0.0, (), ())
     )
+    if not report.ok:
+        raise SolverError(f"the tuned sleeve fails its KKT check: {report.worst}")
     curve = tuple(sorted([(0.0, sharpe_zero)] + [(g, s) for g, (_, s) in cache.items()]))
     return OverlayResult(
         w_prime=w_opt,

@@ -4,10 +4,11 @@ Fits one factor variance per cluster, a whole level in one call, by least
 squares on off-diagonal correlations (bounded by specific-risk fractions)
 taken from the members' series sums, aggregates the return series level by
 level without forming the N x N covariance or any cluster block, and applies
-the fitted covariance and its inverse in O(N P); the dense N x N form is
-assembled only for checks. Stock loadings are the betas; cluster
-loadings above level 0 are exactly 1 (any positive rescale is absorbed by the
-parent covariance and changes nothing), so they are not stored.
+the fitted covariance and its inverse in O(N P). The dense N x N
+covariance, assembled from a model or sampled from a panel, serves only
+checks. Stock loadings are the betas; cluster loadings above level 0 are
+exactly 1 (any positive rescale is absorbed by the parent covariance and
+changes nothing), so they are not stored.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .data_model import BetaVector, ClassificationTree, ReturnsPanel, cluster_members, read_json, write_json
-from .errors import InputError, InvalidVariance, NegativeSpecificVariance
-from .stats_core import CovarianceMatrix
+from .errors import InputError, InsufficientObservations, InvalidVariance, NegativeSpecificVariance
 
 
 @dataclass(frozen=True)
@@ -290,6 +290,50 @@ def _check_positive_specific(spec, level, tree):
     else:
         name = tree.level_names[level - 1][bad]
     raise NegativeSpecificVariance(level, name, f"specific variance {spec[bad]:.6g} is not positive")
+
+
+# The dense N x N forms below serve only checks: the program's commands
+# never call them.
+
+SYMMETRY_RTOL = 1e-12
+
+
+@dataclass(frozen=True)
+class CovarianceMatrix:
+    """Symmetric N x N covariance with ticker labels."""
+
+    tickers: tuple[str, ...]
+    values: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        values = np.array(self.values, dtype=float)
+        object.__setattr__(self, "values", values)
+        n = len(self.tickers)
+        if values.shape != (n, n):
+            raise InputError(f"covariance shape {values.shape} does not match {n} tickers")
+        if not np.all(np.isfinite(values)):
+            raise InputError("non-finite covariance entries")
+        scale = np.abs(values).max() or 1.0
+        if np.abs(values - values.T).max() > SYMMETRY_RTOL * scale:
+            raise InputError("covariance is not symmetric")
+        if np.any(np.diag(values) < 0.0):
+            raise InputError("negative variance on the diagonal")
+        values.setflags(write=False)
+
+    @property
+    def variances(self) -> np.ndarray:
+        return np.diag(self.values)
+
+
+def sample_covariance(panel: ReturnsPanel) -> CovarianceMatrix:
+    """Sample covariance of the panel rows, T-1 denominator."""
+    t = panel.n_periods
+    if t < 2:
+        raise InsufficientObservations(t)
+    centered = panel.values - panel.values.mean(axis=1, keepdims=True)
+    cov = centered @ centered.T / (t - 1)
+    cov = 0.5 * (cov + cov.T)
+    return CovarianceMatrix(panel.tickers, cov)
 
 
 def assemble_dense(model: RussianDollModel) -> CovarianceMatrix:

@@ -15,11 +15,15 @@ import numpy as np
 from nestbench import BetaVector, CovarianceMatrix, ThetaFitConfig, fit_theta
 from nestbench.errors import (
     DegenerateModel,
-    DegeneratePortfolioVariance,
     InputError,
     InvalidVariance,
+    ModelError,
     SingularCovariance,
 )
+
+
+class DegeneratePortfolioVariance(ModelError):
+    """w'Cw <= 0; only possible for non-positive-semidefinite input."""
 
 
 def benchmark_weights_oracle(

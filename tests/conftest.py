@@ -117,6 +117,24 @@ def random_overlay_problem(
     return problem, gamma
 
 
+def past_one_upper_bound(optimize):
+    """``optimize_mvo``, with each sleeve pushed 1e-6 past the upper bound of
+    the stock nearest that bound and the excess taken from the stock with the
+    most room above its lower bound, so the sleeve stays dollar-neutral."""
+
+    def optimize_past_bound(problem, gamma, start=None):
+        w = np.array(optimize(problem, gamma, start))
+        top = int(np.argmax(w - problem.upper))
+        room = w - problem.lower
+        room[top] = -np.inf
+        shift = problem.upper[top] + 1e-6 - w[top]
+        w[top] += shift
+        w[int(np.argmax(room))] -= shift
+        return w
+
+    return optimize_past_bound
+
+
 def memberships(tree: ClassificationTree) -> list[np.ndarray]:
     """Stock-level binary N x K membership matrices, most granular first."""
     out = []

@@ -9,8 +9,9 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import assert_no_child_left, blas_threads_env, returns_ranges
+from conftest import assert_no_child_left, blas_threads_env, past_one_upper_bound, returns_ranges
 
+import nestbench.overlay
 from nestbench.cli import main
 from nestbench.errors import MissingInputFile
 from nestbench.risk_model import load_model
@@ -274,6 +275,20 @@ class TestOverlay:
         w_prime = np.array([float(r["w_prime"]) for r in rows])
         assert np.all(combined >= -1e-15)
         assert abs(w_prime.sum()) <= 1e-10
+
+    def test_sleeve_that_fails_its_certificate_exits_4(self, tmp_path, capsys, monkeypatch):
+        fix = _synth(tmp_path)
+        signal = _write_signal(fix / "returns.csv", tmp_path / "e.csv", jitter=0.01)
+        monkeypatch.setattr(nestbench.overlay, "optimize_mvo",
+                            past_one_upper_bound(nestbench.overlay.optimize_mvo))
+        out = tmp_path / "ov"
+        assert run(
+            "overlay", "--returns", str(fix / "returns.csv"),
+            "--classification", str(fix / "classification.csv"),
+            "--expected-returns", str(signal), "--out", str(out),
+        ) == 4
+        assert "fails its KKT check" in capsys.readouterr().err
+        assert not (out / "overlay.csv").exists()
 
     def test_infeasible_custom_bounds(self, tmp_path):
         fix = _synth(tmp_path)

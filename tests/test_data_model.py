@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_no_child_left, blas_threads_env, returns_ranges, usable_cpus
+from conftest import _counted, assert_no_child_left, blas_threads_env, returns_ranges, usable_cpus
 
 import nestbench
 from nestbench import (
@@ -343,6 +343,23 @@ class TestShippedRangeFloor:
     def test_range_count(self, monkeypatch, cpus, data_mb, k):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         assert _range_count(round(data_mb * 1e6)) == k
+
+
+def test_small_panel_parses_in_whole_chunks(tmp_path):
+    # pins the chunk size the loader ships with, however small the panel:
+    # every call of _parse_cells but the last takes at least _CHUNK_BYTES
+    n = t = 250
+    values = np.random.default_rng(0).normal(0.0, 0.02, (n, t))
+    path = tmp_path / "r.csv"
+    write_returns_csv(ReturnsPanel(tuple(f"T{i}" for i in range(n)), tuple(f"D{s}" for s in range(t)), values), path)
+    with open(path, "rb") as handle:
+        data_bytes = os.path.getsize(path) - len(handle.readline())
+    assert 1_200_000 < data_bytes < 1_400_000
+    with usable_cpus(2) as calls, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(data_model, "_parse_cells", _counted(data_model._parse_cells, "_parse_cells", calls))
+        np.testing.assert_array_equal(load_returns_csv(path).values, values)
+    assert (calls["_fork_worker"], calls["_load_returns_slowly"]) == (0, 0)
+    assert calls["_parse_cells"] <= math.ceil(data_bytes / (64 << 10)) + 1, calls
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc/self/status")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_overlay_problem
+from conftest import past_one_upper_bound, random_overlay_problem
 from _dense import DenseCovariance, dense_of
 
 import nestbench.overlay
@@ -29,6 +29,7 @@ from nestbench.errors import (
     DegenerateRegression,
     InputError,
     LongOnlyViolation,
+    SolverError,
 )
 
 
@@ -490,6 +491,14 @@ class TestTuneGamma:
             assert result.sharpe_opt == 0.0
             assert 0.0 < result.gamma_prime < 1.0
             assert len(result.sharpe_curve) <= 25
+
+    def test_sleeve_that_fails_its_certificate_raises(self, monkeypatch):
+        problem = self._binding_fixture()
+        gamma_max = default_gamma_max(problem) / 10.0
+        tune_gamma(problem, gamma_max)  # the sleeve as solved passes
+        monkeypatch.setattr(nestbench.overlay, "optimize_mvo", past_one_upper_bound(optimize_mvo))
+        with pytest.raises(SolverError, match="bound violation 1e-06 against a tolerance of 1e-10"):
+            tune_gamma(problem, gamma_max)
 
     def test_sharpe_zero_is_benchmark_sharpe(self):
         problem, _ = random_overlay_problem(5)

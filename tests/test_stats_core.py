@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import blas_threads_env
-from _dense import betas_from_weights
+from _dense import DegeneratePortfolioVariance, betas_from_weights
 
 from nestbench import (
     CovarianceMatrix,
@@ -13,7 +13,7 @@ from nestbench import (
     sample_covariance,
     serial_betas,
 )
-from nestbench.errors import DegenerateBenchmark, DegeneratePortfolioVariance
+from nestbench.errors import DegenerateBenchmark
 
 
 def _panel(values, tickers=None):
