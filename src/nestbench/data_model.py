@@ -55,7 +55,8 @@ class ReturnsPanel:
             raise DuplicateTicker(tic)
         if (date := _first_repeat(self.dates)) is not None:
             raise InputError(f"duplicate date label: {date!r}")
-        if not np.all(np.isfinite(values)):
+        # a NaN propagates through both, and neither allocates an N x T mask
+        if not (math.isfinite(values.min()) and math.isfinite(values.max())):
             i, s = np.argwhere(~np.isfinite(values))[0]
             raise InputError(f"non-finite return for {self.tickers[i]!r} at {self.dates[s]!r}")
         values.setflags(write=False)
@@ -183,17 +184,18 @@ def load_returns_csv(path: str | os.PathLike) -> ReturnsPanel:
     that gives each exactly ``float``'s bits. A large file is cut into line-
     aligned byte ranges, one per usable core, parsed at once by forked
     workers into one shared array; the values are the same bits whatever the
-    number of ranges. A file that parser does not take whole (quoted labels,
-    ragged rows, a cell holding anything but digits, signs, a dot or an
-    exponent, a malformed number) is parsed again cell by cell, so every
-    file loads, or fails naming its first bad cell, exactly as the per-cell
-    parse alone would have it.
+    number of ranges. Lines holding only a line end are skipped wherever they
+    stand. A file that parser does not take whole (quoted labels, ragged
+    rows, a cell holding anything but digits, signs, a dot or an exponent, a
+    malformed number) is parsed again cell by cell, so every file loads, or
+    fails naming its first bad cell, exactly as the per-cell parse alone
+    would have it.
     """
     tickers: list[str] = []
     try:
         with open(path, "rb") as handle:
             offsets = _line_offsets(handle, os.fstat(handle.fileno()).st_size)
-            header = next(filter(None, _lines(handle, offsets)), b"").decode("utf-8")
+            header = next(_lines(handle, offsets), b"").decode("utf-8")
             if '"' in header or header.count(",") < 2:
                 raise ValueError("quoted header or fewer than 2 dates")
             dates = tuple(header.split(",")[1:])
@@ -201,7 +203,7 @@ def load_returns_csv(path: str | os.PathLike) -> ReturnsPanel:
             values = _parse_ranges(path, handle, data, len(dates), tickers)
     except (OSError, ValueError):  # ValueError includes UnicodeDecodeError
         return _load_returns_slowly(path)
-    if values.shape != (len(tickers), len(dates)) or min(values.shape) < 2:
+    if min(values.shape) < 2:
         return _load_returns_slowly(path)
     return ReturnsPanel(tuple(tickers), dates, values)
 
@@ -238,16 +240,22 @@ def _range_count(data_bytes: int) -> int:
 
 def _line_offsets(handle, size: int) -> list[int]:
     """Byte offsets of the open file's lines, each line's first byte, and
-    of its end, ``size``."""
+    of its end, ``size``. A line of only ``\\n`` or ``\\r\\n`` has none: it
+    ends the line before it, or is skipped at the start of the file."""
     offsets = [0]
     handle.seek(0)
     chunk = bytearray(1 << 16)
-    at = 0
+    at = last = 0  # last: the byte that ended the previous read
     while at < size and (n := handle.readinto(chunk)):
         end = chunk.find(b"\n", 0, n)
         while end >= 0:  # one find per line runs at memchr speed
-            offsets.append(at + end + 1)
+            length = at + end - offsets[-1]  # without its line feed
+            if length == 0 or length == 1 and (chunk[end - 1] if end else last) == ord("\r"):
+                offsets[-1] = at + end + 1
+            else:
+                offsets.append(at + end + 1)
             end = chunk.find(b"\n", end + 1, n)
+        last = chunk[n - 1]
         at += n
     del offsets[bisect.bisect_left(offsets, size):]
     offsets.append(size)
@@ -271,12 +279,10 @@ def _parse_ranges(path, handle, offsets: list[int], width: int, tickers: list[st
     ``width`` array, in up to ``_range_count`` line-aligned ranges of about
     equal size; in anonymous shared memory where there is more than one.
 
-    The parent parses the first range; a forked worker parses each other one
-    into its rows and sends back its tickers. A lone range skips blank
-    lines. Where there are more, a range that parses to other than one row
-    per line (a blank line, say), a width other than ``width``, or any
-    failed worker raises ValueError, and every worker is reaped before this
-    returns or raises.
+    Each line is one row. The parent parses the first range; a forked
+    worker parses each other one into its rows and sends back its tickers.
+    A row of other than ``width`` cells or any failed worker raises
+    ValueError, and every worker is reaped before this returns or raises.
     """
     n = len(offsets) - 1
     if n < 1:
@@ -288,18 +294,17 @@ def _parse_ranges(path, handle, offsets: list[int], width: int, tickers: list[st
     rows = list(zip(bounds, bounds[1:]))
     if len(rows) == 1:
         values = np.empty((n, width))
-        return values[:_fill(values, _lines(handle, offsets), tickers)]
-    import mmap  # imported here, as the CLI's start-up and one-range loads would pay for them
-    import signal
-
-    values = np.frombuffer(mmap.mmap(-1, n * width * 8), dtype=float).reshape(n, width)
+    else:  # imported here, as the CLI's start-up and one-range loads would pay for them
+        import mmap
+        import signal  # used only where there are workers
+        values = np.frombuffer(mmap.mmap(-1, n * width * 8), dtype=float).reshape(n, width)
     workers: list[tuple[int, int]] = []  # (pid, read end of its ticker pipe)
     failed = True
     try:
         for first, end in rows[1:]:
             workers.append(_fork_worker(path, offsets[first:end + 1], values[first:end]))
         first, end = rows[0]
-        _fill_all(values[first:end], _lines(handle, offsets[first:end + 1]), tickers)
+        _fill(values[first:end], _lines(handle, offsets[first:end + 1]), tickers)
         sent = []
         for _, fd in workers:
             with open(fd, "rb", closefd=False) as pipe:
@@ -326,15 +331,13 @@ def _parse_ranges(path, handle, offsets: list[int], width: int, tickers: list[st
 _CHUNK_BYTES = 64 << 10
 
 
-def _fill(out: np.ndarray, lines, tickers: list[str]) -> int:
-    """Parse the non-blank ``lines`` into the leading rows of ``out``,
-    about ``_CHUNK_BYTES`` at a time, append their tickers and return their
-    count. A quoted ticker or a row of other than ``out``'s width raises
-    ValueError: the ``csv`` module would read those differently."""
+def _fill(out: np.ndarray, lines, tickers: list[str]) -> None:
+    """Parse ``lines``, one per row of ``out``, into ``out``, about
+    ``_CHUNK_BYTES`` at a time, and append their tickers. A quoted ticker or
+    a row of other than ``out``'s width raises ValueError: the ``csv``
+    module would read those differently."""
     row, chunk, size = 0, [], 0
     for line in lines:
-        if not line:
-            continue
         ticker, _, numbers = line.partition(b",")
         if b'"' in ticker:
             raise ValueError(f"row {len(tickers) + 1} has a quoted ticker")
@@ -346,13 +349,6 @@ def _fill(out: np.ndarray, lines, tickers: list[str]) -> int:
             row, chunk, size = row + len(chunk), [], 0
     if chunk:
         _parse_cells(b"\n".join([*chunk, b""]), out[row:row + len(chunk)])
-    return row + len(chunk)
-
-
-def _fill_all(out: np.ndarray, lines, tickers: list[str]) -> None:
-    """``_fill``, which must take exactly one row of ``out`` per line."""
-    if _fill(out, lines, tickers) != len(out):
-        raise ValueError("range rows do not match its lines")
 
 
 def _fork_worker(path, offsets: list[int], out: np.ndarray) -> tuple[int, int]:
@@ -380,7 +376,7 @@ def _fork_worker(path, offsets: list[int], out: np.ndarray) -> tuple[int, int]:
         os.close(read_end)
         tickers: list[str] = []
         with open(path, "rb") as handle:  # its own offset: the parent's fd shares one
-            _fill_all(out, _lines(handle, offsets), tickers)
+            _fill(out, _lines(handle, offsets), tickers)
         with open(write_end, "wb") as pipe:
             pipe.write("\n".join(tickers).encode("utf-8"))
         code = 0
@@ -572,37 +568,20 @@ def tree_from_labels(tickers, labels) -> ClassificationTree:
         raise InputError("classification rows have differing level counts")
     level_names: list[tuple[str, ...]] = []
     parent_maps: list[np.ndarray] = []
-    child_of_stock = np.zeros(len(tickers), dtype=np.int64)
+    # a level's units: the stocks at level 1, else the clusters of the level below
+    unit_names, unit_of_stock = tickers, np.arange(len(tickers))
     for lvl in range(p):
-        names: list[str] = []
+        assigned: list[str | None] = [None] * len(unit_names)
+        for u, row in zip(unit_of_stock.tolist(), labels, strict=True):
+            if assigned[u] is None:
+                assigned[u] = row[lvl]
+            elif assigned[u] != row[lvl]:
+                raise InconsistentNesting(lvl, unit_names[u], {assigned[u], row[lvl]})
         index: dict[str, int] = {}
-        if lvl == 0:
-            mapping = np.empty(len(tickers), dtype=np.int64)
-            for i, row in enumerate(labels):
-                label = row[0]
-                if label not in index:
-                    index[label] = len(names)
-                    names.append(label)
-                mapping[i] = index[label]
-        else:
-            k_prev = len(level_names[-1])
-            assigned: list[str | None] = [None] * k_prev
-            for i, row in enumerate(labels):
-                c = int(child_of_stock[i])
-                if assigned[c] is None:
-                    assigned[c] = row[lvl]
-                elif assigned[c] != row[lvl]:
-                    raise InconsistentNesting(lvl, level_names[-1][c], {assigned[c], row[lvl]})
-            mapping = np.empty(k_prev, dtype=np.int64)
-            for c in range(k_prev):
-                label = assigned[c]
-                if label not in index:
-                    index[label] = len(names)
-                    names.append(label)
-                mapping[c] = index[label]
-        level_names.append(tuple(names))
+        mapping = np.array([index.setdefault(label, len(index)) for label in assigned], dtype=np.int64)
+        unit_names, unit_of_stock = tuple(index), mapping[unit_of_stock]
+        level_names.append(unit_names)
         parent_maps.append(mapping)
-        child_of_stock = mapping[child_of_stock] if lvl > 0 else mapping.copy()
     return ClassificationTree(tickers, tuple(level_names), tuple(parent_maps))
 
 
@@ -690,7 +669,8 @@ def write_json(path, payload) -> None:
 def _read_csv(path) -> list[list[str]]:
     if not os.path.exists(path):
         raise MissingInputFile(path)
-    with open(path, newline="", encoding="utf-8") as handle:
+    # utf-8-sig drops the byte-order mark that spreadsheets write before "CSV UTF-8"
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         try:
             return [row for row in csv.reader(handle) if row]
         except UnicodeDecodeError as exc:

@@ -499,6 +499,21 @@ class TestWeightsFile:
         assert _read(tmp_path / "inline" / "overlay.csv") == _read(tmp_path / "loaded" / "overlay.csv")
 
 
+    def test_byte_order_marks_are_read(self, tmp_path):
+        # spreadsheets saving "CSV UTF-8" start the file with one
+        fix = _synth(tmp_path)
+        inputs = ("--returns", str(fix / "returns.csv"), "--classification", str(fix / "classification.csv"))
+        signal = _write_signal(fix / "returns.csv", tmp_path / "e.csv", jitter=0.01)
+        assert run("benchmark", *inputs, "--out", str(tmp_path / "b")) == 0
+        assert run("overlay", *inputs, "--expected-returns", str(signal), "--weights",
+                   str(tmp_path / "b" / "weights.csv"), "--out", str(tmp_path / "plain")) == 0
+        for path in (signal, tmp_path / "b" / "weights.csv", fix / "returns.csv", fix / "classification.csv"):
+            path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert run("overlay", *inputs, "--expected-returns", str(signal), "--weights",
+                   str(tmp_path / "b" / "weights.csv"), "--out", str(tmp_path / "bom")) == 0
+        assert _read(tmp_path / "plain" / "overlay.csv") == _read(tmp_path / "bom" / "overlay.csv")
+
+
 def test_load_model_missing_file(tmp_path):
     with pytest.raises(MissingInputFile):
         load_model(tmp_path / "absent.json")

@@ -184,6 +184,35 @@ class TestLoadReturns:
         assert np.shares_memory(panel.values, values)
         assert not panel.values.flags.writeable and values.flags.writeable
 
+    def test_finiteness_check_allocates_no_mask(self):
+        n, t = 1000, 500
+        values = np.random.default_rng(0).normal(0.0, 0.02, (n, t))
+        tickers, dates = tuple(f"T{i}" for i in range(n)), tuple(f"D{s}" for s in range(t))
+        tracemalloc.start()
+        try:
+            ReturnsPanel(tickers, dates, values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < values.nbytes / 20, f"peak {peak / values.nbytes:.3f}x the array"
+
+    @pytest.mark.parametrize("row, col, value", [(1, 2, -np.inf), (0, 1, np.inf)])
+    def test_infinite_return_is_named(self, row, col, value):
+        values = np.zeros((2, 3))
+        values[row, col] = value
+        with pytest.raises(InputError, match=re.escape(f"non-finite return for {'AB'[row]!r} at 'd{col + 1}'")):
+            ReturnsPanel(("A", "B"), ("d1", "d2", "d3"), values)
+
+    def test_byte_order_mark(self, tmp_path):
+        text = "\n".join([_HEADER, *_ROWS, ""])
+        plain = _outcome(load_returns_csv, _write(tmp_path / "plain.csv", text))
+        for name, body in (("fast", text), ("quoted", text.replace("S1,", '"S1",'))):
+            path = tmp_path / f"{name}.csv"
+            path.write_text(body, encoding="utf-8-sig")
+            assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+            assert _outcome(load_returns_csv, str(path)) == plain
+            assert _outcome(_load_returns_slowly, str(path)) == plain
+
     def test_roundtrip(self, tmp_path):
         instance = generate(SyntheticSpec(n=8, t=30, clusters=(3,), rho=(0.4,), seed=3))
         path = tmp_path / "r.csv"
@@ -265,11 +294,38 @@ class TestParallelParse:
         clean = _outcome(_load_returns_slowly, _write(tmp_path / "clean.csv", "\n".join([_HEADER, *_ROWS, ""])))
         for at in range(1, len(_ROWS) + 1):
             blank = _write(tmp_path / f"blank{at}.csv", "\n".join([_HEADER, *_ROWS[:at], "", *_ROWS[at:], ""]))
-            assert _ranged(blank, k) == (clean, k - 1, 1 if k > 1 else 0)
+            assert _ranged(blank, k) == (clean, k - 1, 0)
             lines = [_HEADER, *_ROWS, ""]
             lines[at] += "\r"
             crlf = _write(tmp_path / f"crlf{at}.csv", "\n".join(lines))
             assert _ranged(crlf, k) == (clean, k - 1, 0)
+
+    def test_crlf_only_line_at_every_cut(self, tmp_path, k):
+        clean = _outcome(_load_returns_slowly, _write(tmp_path / "clean.csv", "\n".join([_HEADER, *_ROWS, ""])))
+        for at in range(1, len(_ROWS) + 1):
+            path = _write(tmp_path / f"r{at}.csv", "\n".join([_HEADER, *_ROWS[:at], "\r", *_ROWS[at:], ""]))
+            assert _ranged(path, k) == (clean, k - 1, 0)
+
+    def test_trailing_blank_lines(self, tmp_path, k):
+        clean = _outcome(_load_returns_slowly, _write(tmp_path / "clean.csv", "\n".join([_HEADER, *_ROWS, ""])))
+        for end in ("\n", "\r\n", "\n\r\n\n"):
+            path = _write(tmp_path / "r.csv", "\n".join([_HEADER, *_ROWS, ""]) + end)
+            assert _ranged(path, k) == (clean, k - 1, 0)
+
+    def test_crlf_only_line_across_a_read(self, tmp_path, k):
+        # the blank line's carriage return ends the first 64 KiB read of
+        # _line_offsets, and its line feed starts the second, a full one
+        rows = [f"S{i},0.{i}1,-0.{i}2,{i}e-3" for i in range(1, 8001)]
+        head = "\n".join([_HEADER, *rows[:2000]]) + "\n"
+        rows[1999] = "x" * ((1 << 16) - 1 - len(head)) + rows[1999]
+        head = "\n".join([_HEADER, *rows[:2000]]) + "\n"
+        assert len(head) == (1 << 16) - 1
+        tail = "\n".join(rows[2000:]) + "\n"
+        clean, blank = _write(tmp_path / "clean.csv", head + tail), _write(tmp_path / "r.csv", head + "\r\n" + tail)
+        for path in (clean, blank):
+            with open(path, "rb") as handle:
+                assert len(data_model._line_offsets(handle, os.path.getsize(path))) == len(rows) + 2
+        assert _ranged(blank, k) == (_outcome(_load_returns_slowly, clean), k - 1, 0)
 
     def test_one_number_rows_in_last_range(self, tmp_path, k):
         # rows of one number would broadcast across a range's three columns
@@ -325,6 +381,18 @@ class TestShippedRangeFloor:
         assert (calls["_fork_worker"], calls["_load_returns_slowly"]) == (0, 0)
         with usable_cpus(2) as calls:
             assert _outcome(load_returns_csv, path) == alone
+        assert_no_child_left()
+        assert (calls["_fork_worker"], calls["_load_returns_slowly"]) == (1, 0)
+
+    def test_blank_line_in_a_file_just_over_two_floors(self, tmp_path):
+        path = _returns_file(tmp_path / "r.csv", 2 * _MIN_RANGE_BYTES + 50_000)
+        with open(path) as handle:
+            lines = handle.read().split("\n")
+        clean = _outcome(load_returns_csv, path)
+        lines.insert(len(lines) // 2, "")
+        _write(tmp_path / "r.csv", "\n".join(lines))
+        with usable_cpus(2) as calls:
+            assert _outcome(load_returns_csv, path) == clean
         assert_no_child_left()
         assert (calls["_fork_worker"], calls["_load_returns_slowly"]) == (1, 0)
 
@@ -601,6 +669,17 @@ class TestLoadClassification:
         with pytest.raises(InputError):
             load_classification_csv(path, panel)
 
+    def test_byte_order_mark(self, tmp_path):
+        panel = self._panel(["A", "B", "C", "D"])
+        text = "ticker,sub,sector\nA,s1,S\nB,s1,S\nC,s2,S\nD,s3,R\n"
+        plain = load_classification_csv(_write(tmp_path / "plain.csv", text), panel)
+        path = tmp_path / "c.csv"
+        path.write_text(text, encoding="utf-8-sig")
+        tree = load_classification_csv(path, panel)
+        assert tree.level_names == plain.level_names
+        for got, expected in zip(tree.parent_maps, plain.parent_maps):
+            assert got.tolist() == expected.tolist()
+
     def test_extra_rows_ignored(self, tmp_path):
         panel = self._panel(["A", "B"])
         path = _write(tmp_path / "c.csv", "ticker,sub\nA,s1\nB,s2\nZ,s9\n")
@@ -707,6 +786,16 @@ def test_tree_from_labels_detects_inconsistent_nesting(labels, data):
     assert err.value.level == level
     assert err.value.cluster == labels[stock][level - 1]
     assert err.value.parents == {labels[stock][level], "elsewhere"}
+
+
+@pytest.mark.parametrize("header", [
+    ("ticker", "expected_return"), ("ticker", "beta"), ("date", "value"), ("ticker", "weight"),
+])
+def test_keyed_files_with_a_byte_order_mark(tmp_path, header):
+    text = f"{','.join(header)}\nA,0.5\nB,-1e-3\n"
+    path = tmp_path / "k.csv"
+    path.write_text(text, encoding="utf-8-sig")
+    assert data_model.read_keyed_csv(path, header) == [("A", 0.5), ("B", -1e-3)]
 
 
 def test_only_data_model_touches_files():
