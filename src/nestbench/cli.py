@@ -50,11 +50,11 @@ _WEIGHT_SCALES = ("beta", "sum")
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if not hasattr(args, "handler"):
+    if args.command is None:
         parser.print_help()
         return EXIT_INPUT
     try:
-        return args.handler(args)
+        return _COMMANDS[args.command][0](_merge_config(args))
     except SolverError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
@@ -74,93 +74,36 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="JSON config file; command-line flags override it")
     sub = parser.add_subparsers(dest="command")
-
-    bench = sub.add_parser("benchmark", help="fit the nested model and write benchmark weights")
-    _add_model_flags(bench)
-    bench.add_argument("--weight-scale", choices=_WEIGHT_SCALES,
-                       help="normalize weighted betas to 1 (default) or the weights themselves")
-    bench.add_argument("--out", help="output directory")
-    bench.set_defaults(handler=cmd_benchmark)
-
-    over = sub.add_parser("overlay", help="tune and write the dollar-neutral overlay")
-    _add_model_flags(over)
-    over.add_argument("--expected-returns", help="CSV ticker,expected_return")
-    over.add_argument("--weights", help="benchmark weights CSV (defaults to computing inline)")
-    over.add_argument("--constraints", help="comma list of constraint modes")
-    over.add_argument("--band-z", type=float, help="bound band as a fraction of benchmark weight")
-    over.add_argument("--gamma-max", type=float, help="upper end of the tuning bracket")
-    over.add_argument("--tol", type=float, help="relative tolerance of the tuning search")
-    over.add_argument("--residualize", action="store_true", default=None,
-                      help="regress the signal off the benchmark weights first")
-    over.add_argument("--out", help="output directory")
-    over.set_defaults(handler=cmd_overlay)
-
-    synth = sub.add_parser("synth", help="generate a synthetic returns/classification fixture")
-    synth.add_argument("--n", type=int, help="number of stocks")
-    synth.add_argument("--t", type=int, help="number of periods")
-    synth.add_argument("--clusters", help="comma list of cluster counts, most granular first")
-    synth.add_argument("--rho", help="comma list of within-cluster correlations per level")
-    synth.add_argument("--market-rho", type=float, help="correlation across top-level clusters")
-    synth.add_argument("--seed", type=int, help="RNG seed")
-    synth.add_argument("--out", help="output directory")
-    synth.set_defaults(handler=cmd_synth)
-
-    betas = sub.add_parser("betas", help="compute a beta vector on its own")
-    _add_beta_flags(betas)
-    betas.add_argument("--out", help="output directory")
-    betas.set_defaults(handler=cmd_betas)
+    for command, (_, help_text, keys) in _COMMANDS.items():
+        flags = sub.add_parser(command, help=help_text)
+        for key in keys:
+            _, default, key_help = _OPTIONS[key]
+            action = argparse.BooleanOptionalAction if isinstance(default, bool) else "store"
+            flags.add_argument("--" + key.replace("_", "-"), action=action, help=key_help)
     return parser
 
 
-def _add_beta_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--returns", help="returns CSV")
-    sub.add_argument("--beta-mode", choices=BETA_MODES)
-    sub.add_argument("--index-returns", help="CSV date,value (observed-capped mode)")
-    sub.add_argument("--beta-file", help="CSV ticker,beta (explicit mode)")
-    sub.add_argument("--kappa-max", type=float)
-    sub.add_argument("--kappa-min", type=float)
-
-
-def _add_model_flags(sub: argparse.ArgumentParser) -> None:
-    _add_beta_flags(sub)
-    sub.add_argument("--classification", help="classification CSV")
-    sub.add_argument("--z-min", type=float)
-    sub.add_argument("--z-max", type=float)
-    sub.add_argument("--mkt-fac", dest="mkt_fac", action="store_true", default=None)
-    sub.add_argument("--no-mkt-fac", dest="mkt_fac", action="store_false", default=None)
-
-
-_MODEL_DEFAULTS = {
-    "beta_mode": "proportional-to-sigma",
-    "kappa_max": 1.0,
-    "kappa_min": 1.0,
-    "z_min": 0.1,
-    "z_max": 0.9,
-    "mkt_fac": True,
-    "index_returns": None,
-    "beta_file": None,
-    "out": "out",
-}
-
-_OVERLAY_DEFAULTS = {
-    "constraints": "dollar-neutral",
-    "band_z": 0.5,
-    "gamma_max": None,
-    "tol": 1e-4,
-    "residualize": False,
-    "weights": None,
-    "expected_returns": None,
-}
-
-_SYNTH_DEFAULTS = {
-    "n": 16,
-    "t": 250,
-    "clusters": "4",
-    "rho": "0.4",
-    "market_rho": 0.0,
-    "seed": 0,
-    "out": "out",
-}
+def _merge_config(args) -> dict:
+    """The command's defaults < config file < explicit command-line flags,
+    each value converted by its key's converter."""
+    keys = _COMMANDS[args.command][2]
+    merged = {key: _OPTIONS[key][1] for key in keys}
+    if args.config:
+        loaded = read_json(args.config)
+        if not isinstance(loaded, dict):
+            raise InputError(f"{args.config}: config must be a JSON object")
+        for key, value in loaded.items():
+            if key.replace("-", "_") not in _OPTIONS:
+                raise InputError(f"{args.config}: unknown config key {key!r}")
+            merged[key.replace("-", "_")] = value
+    merged.update((key, getattr(args, key)) for key in keys if getattr(args, key) is not None)
+    for key, value in merged.items():
+        if value is not None:
+            try:
+                merged[key] = _OPTIONS[key][0](value)
+            except (TypeError, ValueError):
+                raise InputError(f"invalid value for option {key!r}: {value!r}") from None
+    return merged
 
 
 def _scalar(kind):
@@ -182,42 +125,62 @@ def _numbers(kind):
     return convert
 
 
-# the converter of every config value that is not a name or a path
-_CONVERT = {
-    **dict.fromkeys(
-        ("kappa_max", "kappa_min", "z_min", "z_max", "band_z", "gamma_max", "tol", "market_rho"),
-        _scalar(float),
-    ),
-    **dict.fromkeys(("n", "t", "seed"), _scalar(int)),
-    **dict.fromkeys(("mkt_fac", "residualize"), _scalar(bool)),
-    "clusters": _numbers(int),
-    **dict.fromkeys(("rho", "lower_bounds", "upper_bounds"), _numbers(float)),
+def _string(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(value)
+    return value
+
+
+def _choice(options):
+    def convert(value):
+        if value not in options:
+            raise ValueError(value)
+        return value
+
+    return convert
+
+
+def _modes(text) -> tuple:
+    return tuple(m.strip() for m in _string(text).split(",") if m.strip())
+
+
+def _constraints(text) -> str:
+    check_modes(_modes(text))
+    return text
+
+
+# key: (converter, default, help); its flag is --key-with-dashes, and a key
+# with a bool default also takes --no-key-with-dashes
+_OPTIONS = {
+    "returns": (_string, None, "returns CSV"),
+    "beta_mode": (_choice(BETA_MODES), "proportional-to-sigma", "one of " + ", ".join(BETA_MODES)),
+    "index_returns": (_string, None, "CSV date,value (observed-capped mode)"),
+    "beta_file": (_string, None, "CSV ticker,beta (explicit mode)"),
+    "kappa_max": (_scalar(float), 1.0, "observed-capped betas: upper cap at median + kappa_max * MAD"),
+    "kappa_min": (_scalar(float), 1.0, "observed-capped betas: lower cap at median - kappa_min * MAD"),
+    "classification": (_string, None, "classification CSV"),
+    "z_min": (_scalar(float), 0.1, "lower end of the band for the specific fraction of total risk"),
+    "z_max": (_scalar(float), 0.9, "upper end of that band"),
+    "mkt_fac": (_scalar(bool), True, "fit the market factor level (default) or pin it to zero"),
+    "weight_scale": (_choice(_WEIGHT_SCALES), "beta",
+                     "normalize weighted betas to 1 (beta, default) or the weights themselves (sum)"),
+    "expected_returns": (_string, None, "CSV ticker,expected_return"),
+    "weights": (_string, None, "benchmark weights CSV (defaults to computing inline)"),
+    "constraints": (_constraints, "dollar-neutral", "comma list of constraint modes"),
+    "band_z": (_scalar(float), 0.5, "bound band as a fraction of benchmark weight"),
+    "gamma_max": (_scalar(float), None, "upper end of the tuning bracket"),
+    "tol": (_scalar(float), 1e-4, "relative tolerance of the tuning search"),
+    "residualize": (_scalar(bool), False, "regress the signal off the benchmark weights first"),
+    "lower_bounds": (_numbers(float), None, "per-stock overlay lower bounds (config file only)"),
+    "upper_bounds": (_numbers(float), None, "per-stock overlay upper bounds (config file only)"),
+    "n": (_scalar(int), 16, "number of stocks"),
+    "t": (_scalar(int), 250, "number of periods"),
+    "clusters": (_numbers(int), "4", "comma list of cluster counts, most granular first"),
+    "rho": (_numbers(float), "0.4", "comma list of within-cluster correlations per level"),
+    "market_rho": (_scalar(float), 0.0, "correlation across top-level clusters"),
+    "seed": (_scalar(int), 0, "RNG seed"),
+    "out": (_string, "out", "output directory"),
 }
-
-
-def _merge_config(args, defaults: dict) -> dict:
-    """defaults < config file < explicit command-line flags, each value
-    converted to the type its key takes."""
-    merged = dict(defaults)
-    config_path = getattr(args, "config", None)
-    if config_path:
-        loaded = read_json(config_path)
-        if not isinstance(loaded, dict):
-            raise InputError(f"{config_path}: config must be a JSON object")
-        for key, value in loaded.items():
-            merged[key.replace("-", "_")] = value
-    for key, value in vars(args).items():
-        if key in ("handler", "command", "config"):
-            continue
-        if value is not None:
-            merged[key] = value
-    for key, convert in _CONVERT.items():
-        if merged.get(key) is not None:
-            try:
-                merged[key] = convert(merged[key])
-            except (TypeError, ValueError):
-                raise InputError(f"config value {key!r} has the wrong type: {merged[key]!r}") from None
-    return merged
 
 
 def _build_model(cfg: dict):
@@ -274,12 +237,7 @@ def _load_ticker_values(path, panel, column: str) -> np.ndarray:
     return np.array([table[t] for t in panel.tickers])
 
 
-def cmd_benchmark(args) -> int:
-    cfg = _merge_config(
-        args, {**_MODEL_DEFAULTS, "returns": None, "classification": None, "weight_scale": "beta"}
-    )
-    if cfg["weight_scale"] not in _WEIGHT_SCALES:
-        raise InputError(f"unknown weight scale {cfg['weight_scale']!r}")
+def cmd_benchmark(cfg: dict) -> int:
     panel, tree, model = _build_model(cfg)
     result = benchmark_weights(model)
     if cfg["weight_scale"] == "sum":
@@ -306,12 +264,8 @@ def cmd_benchmark(args) -> int:
     return EXIT_OK
 
 
-def cmd_overlay(args) -> int:
-    cfg = _merge_config(
-        args, {**_MODEL_DEFAULTS, **_OVERLAY_DEFAULTS, "returns": None, "classification": None}
-    )
-    modes = tuple(m.strip() for m in str(cfg["constraints"]).split(",") if m.strip())
-    check_modes(modes)
+def cmd_overlay(cfg: dict) -> int:
+    modes = _modes(cfg["constraints"])
     panel, tree, model = _build_model(cfg)
     if cfg.get("weights"):
         rows = read_keyed_csv(cfg["weights"], ("ticker", "weight"))
@@ -363,8 +317,7 @@ def cmd_overlay(args) -> int:
     return EXIT_OK
 
 
-def cmd_synth(args) -> int:
-    cfg = _merge_config(args, dict(_SYNTH_DEFAULTS))
+def cmd_synth(cfg: dict) -> int:
     spec = SyntheticSpec(
         n=cfg["n"],
         t=cfg["t"],
@@ -385,8 +338,7 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def cmd_betas(args) -> int:
-    cfg = _merge_config(args, {**_MODEL_DEFAULTS, "returns": None})
+def cmd_betas(cfg: dict) -> int:
     if not cfg.get("returns"):
         raise InputError("missing required input: --returns")
     panel = load_returns_csv(cfg["returns"])
@@ -396,6 +348,22 @@ def cmd_betas(args) -> int:
     write_json(os.path.join(outdir, "betas.json"), {"config": cfg})
     print(f"betas: N={panel.n_stocks} mode={cfg['beta_mode']}")
     return EXIT_OK
+
+
+_BETA_KEYS = ("returns", "beta_mode", "index_returns", "beta_file", "kappa_max", "kappa_min")
+_MODEL_KEYS = (*_BETA_KEYS, "classification", "z_min", "z_max", "mkt_fac")
+
+# command: (handler, help, the keys it takes as flags)
+_COMMANDS = {
+    "benchmark": (cmd_benchmark, "fit the nested model and write benchmark weights",
+                  (*_MODEL_KEYS, "weight_scale", "out")),
+    "overlay": (cmd_overlay, "tune and write the dollar-neutral overlay",
+                (*_MODEL_KEYS, "expected_returns", "weights", "constraints", "band_z", "gamma_max", "tol",
+                 "residualize", "out")),
+    "synth": (cmd_synth, "generate a synthetic returns/classification fixture",
+              ("n", "t", "clusters", "rho", "market_rho", "seed", "out")),
+    "betas": (cmd_betas, "compute a beta vector on its own", (*_BETA_KEYS, "out")),
+}
 
 
 def _rescale_to_unit_sum(result: BenchmarkResult) -> BenchmarkResult:

@@ -653,7 +653,7 @@ def read_json(path):
     """Parsed JSON; a missing file or malformed JSON is an ``InputError``."""
     if not os.path.exists(path):
         raise MissingInputFile(path)
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:  # drops a byte-order mark, as _read_csv does
         try:
             return json.load(handle)
         except ValueError as exc:

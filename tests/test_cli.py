@@ -3,6 +3,7 @@ import importlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -14,7 +15,7 @@ from conftest import assert_no_child_left, blas_threads_env, past_one_upper_boun
 import nestbench.overlay
 from nestbench.cli import main
 from nestbench.errors import MissingInputFile
-from nestbench.risk_model import load_model
+from nestbench.risk_model import load_model, save_model
 
 
 def run(*argv):
@@ -359,6 +360,9 @@ class TestBetas:
         rows = list(csv.DictReader(open(out / "betas.csv")))
         assert len(rows) == 16
         assert all(float(r["beta"]) > 0 for r in rows)
+        config = json.loads((out / "betas.json").read_text())["config"]
+        assert sorted(config) == ["beta_file", "beta_mode", "index_returns", "kappa_max", "kappa_min",
+                                  "out", "returns"]
 
 
 def _write_rows(path, rows):
@@ -513,6 +517,18 @@ class TestWeightsFile:
                    str(tmp_path / "b" / "weights.csv"), "--out", str(tmp_path / "bom")) == 0
         assert _read(tmp_path / "plain" / "overlay.csv") == _read(tmp_path / "bom" / "overlay.csv")
 
+    def test_json_byte_order_marks_are_read(self, tmp_path):
+        fix = _synth(tmp_path)
+        config = tmp_path / "cfg.json"
+        config.write_bytes(b"\xef\xbb\xbf" + json.dumps({
+            "returns": str(fix / "returns.csv"), "classification": str(fix / "classification.csv"),
+        }).encode())
+        assert run("--config", str(config), "benchmark", "--out", str(tmp_path / "b")) == 0
+        model = tmp_path / "b" / "model.json"
+        model.write_bytes(b"\xef\xbb\xbf" + model.read_bytes())
+        save_model(load_model(model), tmp_path / "again.json")
+        assert b"\xef\xbb\xbf" + _read(tmp_path / "again.json") == _read(model)
+
 
 def test_load_model_missing_file(tmp_path):
     with pytest.raises(MissingInputFile):
@@ -595,12 +611,35 @@ def _load_by_path(*parts):
     ("overlay", {"residualize": "false"}),
     ("synth", {"n": 16.5}),
     ("overlay", {"band_z": True}),
+    ("benchmark", {"returns": 3}),
+    ("betas", {"beta_mode": "bogus"}),
+    ("benchmark", {"z_mn": 0.2}),
 ])
 def test_config_value_of_wrong_type_is_input_error(tmp_path, capsys, command, config):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
     assert run("--config", str(path), command, "--out", str(tmp_path / "o")) == 2
     assert repr(next(iter(config))) in capsys.readouterr().err
+
+
+_MODEL_FLAGS = {"--returns", "--beta-mode", "--index-returns", "--beta-file", "--kappa-max", "--kappa-min",
+                "--classification", "--z-min", "--z-max", "--mkt-fac", "--no-mkt-fac"}
+
+
+@pytest.mark.parametrize("command, flags", [
+    ((), {"--config"}),
+    (("benchmark",), _MODEL_FLAGS | {"--weight-scale", "--out"}),
+    (("overlay",), _MODEL_FLAGS | {"--expected-returns", "--weights", "--constraints", "--band-z", "--gamma-max",
+                                   "--tol", "--residualize", "--no-residualize", "--out"}),
+    (("synth",), {"--n", "--t", "--clusters", "--rho", "--market-rho", "--seed", "--out"}),
+    (("betas",), {"--returns", "--beta-mode", "--index-returns", "--beta-file", "--kappa-max", "--kappa-min",
+                  "--out"}),
+])
+def test_help_lists_each_flag(command, flags):
+    done = subprocess.run([sys.executable, "-m", "nestbench", *command, "--help"], env=blas_threads_env(1),
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", done.stdout)) == flags | {"--help"}
 
 
 def test_traced_names_resolve():
