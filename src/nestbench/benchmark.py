@@ -117,7 +117,7 @@ def make_betas(
             bad = panel.tickers[int(np.argmax(sigma <= 0.0))]
             raise InvalidBeta(f"zero sample volatility for {bad!r}")
         observed = serial_betas(panel, index_returns) / sigma
-        median = float(np.median(observed))
+        median = _median(observed)
         if median <= 0.0:
             raise InvalidBeta(f"median standardized beta {median:.4g} is not positive")
         mad = float(np.mean(np.abs(observed - median)))
@@ -129,6 +129,13 @@ def make_betas(
             raise InputError("explicit mode requires spec.values")
         values = np.asarray(spec.values, dtype=float)
     return BetaVector(panel.tickers, values)
+
+
+def _median(values: np.ndarray) -> float:
+    """``np.median``'s bits, signed zeros too, without the ``numpy.ma`` import
+    of its NaN check: the same partition, then the mean of the middle values."""
+    lo, hi = (len(values) - 1) // 2, len(values) // 2
+    return float(np.partition(values, [*range(lo, hi + 1), -1])[lo : hi + 1].mean())
 
 
 def write_weights_csv(path: str | os.PathLike, result: BenchmarkResult, model: RussianDollModel) -> None:

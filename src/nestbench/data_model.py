@@ -431,7 +431,7 @@ def _parse_cells(text: bytes, out: np.ndarray) -> None:
     exps = (b | 0x20 == _E).nonzero()[0]
     exp_cells = np.searchsorted(ends, exps)
     scale = _dot_scales(b, ends, exps, exp_cells)
-    numbers = _read_numbers(text.replace(b".", b"").translate(_TO_INTEGERS), np.int64, len(ends) + len(exps))
+    numbers = _read_numbers(text.translate(_TO_INTEGERS, b"."), np.int64, len(ends) + len(exps))
     if len(exps):
         exponents = exp_cells + np.arange(1, len(exps) + 1)
         scale[exp_cells] += numbers[exponents]

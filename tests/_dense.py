@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from nestbench import BetaVector, CovarianceMatrix, ThetaFitConfig, fit_theta
+from nestbench import BetaVector, ThetaFitConfig, fit_theta
 from nestbench.errors import (
     DegenerateModel,
     InputError,
@@ -26,15 +26,13 @@ class DegeneratePortfolioVariance(ModelError):
     """w'Cw <= 0; only possible for non-positive-semidefinite input."""
 
 
-def benchmark_weights_oracle(
-    gamma_cov: CovarianceMatrix | np.ndarray, beta: BetaVector | np.ndarray
-) -> tuple[np.ndarray, float]:
+def benchmark_weights_oracle(gamma_cov: np.ndarray, beta: BetaVector | np.ndarray) -> tuple[np.ndarray, float]:
     """Formal solution by a direct dense solve: w = sigma_f2 * Gamma^-1 beta.
 
     Deliberately ignorant of any factor structure; used to cross-check the
     factorized path.
     """
-    g = gamma_cov.values if isinstance(gamma_cov, CovarianceMatrix) else np.asarray(gamma_cov, dtype=float)
+    g = np.asarray(gamma_cov, dtype=float)
     b = beta.values if isinstance(beta, BetaVector) else np.asarray(beta, dtype=float)
     try:
         np.linalg.cholesky(g)
@@ -111,16 +109,16 @@ def general_factor_weights(
     return GeneralFactorResult(weights, sigma_f2, theta, lam, q, upsilon, upsilon_tilde)
 
 
-def betas_from_weights(cov: CovarianceMatrix, weights: np.ndarray) -> tuple[np.ndarray, float]:
+def betas_from_weights(cov: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, float]:
     """Betas of every stock against the portfolio ``weights`` holds.
 
     Returns ``(beta, sigma_f2)`` with ``beta = C w / (w' C w)`` and the
     portfolio variance ``sigma_f2 = w' C w``.
     """
     w = np.asarray(weights, dtype=float)
-    if w.shape != (len(cov.tickers),):
-        raise InputError(f"weights have length {w.shape}, expected {len(cov.tickers)}")
-    cw = cov.values @ w
+    if w.shape != (len(cov),):
+        raise InputError(f"weights have length {w.shape}, expected {len(cov)}")
+    cw = cov @ w
     sigma_f2 = float(w @ cw)
     if sigma_f2 <= 0.0:
         raise DegeneratePortfolioVariance(f"portfolio variance {sigma_f2} is not positive")
@@ -139,7 +137,7 @@ class DenseCovariance:
     ``solve`` interface, so the overlay runs on hand-written matrices."""
 
     def __init__(self, matrix):
-        self.matrix = np.asarray(getattr(matrix, "values", matrix), dtype=float)
+        self.matrix = np.asarray(matrix, dtype=float)
 
     @property
     def n_stocks(self) -> int:

@@ -12,7 +12,6 @@ import nestbench
 from nestbench import (
     BetaVector,
     ClassificationTree,
-    CovarianceMatrix,
     OverlayProblem,
     ReturnsPanel,
     RussianDollModel,
@@ -22,15 +21,15 @@ from nestbench import (
     data_model,
     generate,
     make_overlay_problem,
-    sample_covariance,
 )
+from nestbench.risk_model import sample_covariance
 
 
 @dataclass
 class Instance:
     panel: ReturnsPanel
     tree: ClassificationTree
-    cov: CovarianceMatrix
+    cov: np.ndarray
     beta: BetaVector
     model: RussianDollModel
     mkt_fac: bool
@@ -76,7 +75,7 @@ def random_instance(
     )
     instance = generate(spec)
     cov = sample_covariance(instance.panel)
-    sigma = np.sqrt(cov.variances)
+    sigma = np.sqrt(np.diag(cov))
     beta_hat = rng.uniform(beta_hat_range[0], beta_hat_range[1], n)
     beta = BetaVector(instance.panel.tickers, beta_hat * sigma)
     if mkt_fac is None:
@@ -105,12 +104,13 @@ def random_overlay_problem(
 ) -> tuple[OverlayProblem, float]:
     """An overlay instance on a fitted model, plus a gamma' in the region
     where bounds start to matter."""
-    from nestbench import assemble_dense, default_gamma_max
+    from nestbench import default_gamma_max
+    from nestbench.risk_model import assemble_dense
 
     rng = np.random.default_rng(seed + 900_000)
     inst = random_instance(seed + 900_000, n_range=n_range, t_range=(80, 160), p_range=(1, 2))
     w_star = benchmark_weights(inst.model).weights
-    signal = rng.normal(0.0, 1.0, inst.panel.n_stocks) * np.sqrt(assemble_dense(inst.model).variances)
+    signal = rng.normal(0.0, 1.0, inst.panel.n_stocks) * np.sqrt(np.diag(assemble_dense(inst.model)))
     problem = make_overlay_problem(signal, inst.model, w_star, band=band, modes=modes)
     first_bind = default_gamma_max(problem) / 100.0
     gamma = first_bind * float(10.0 ** rng.uniform(-0.5, 1.0))

@@ -27,7 +27,6 @@ from nestbench import (
     ReturnsPanel,
     RussianDollModel,
     ThetaFitConfig,
-    assemble_dense,
     benchmark_weights,
     build_russian_doll,
     combine,
@@ -40,6 +39,7 @@ from nestbench import (
     tune_gamma,
 )
 from nestbench.cli import main as cli_main
+from nestbench.risk_model import assemble_dense, sample_covariance
 
 N_INSTANCES = 110
 _cache = {}
@@ -102,7 +102,7 @@ def test_criterion_3_positivity_and_diagonal():
         all_positive &= bool(np.all(result.weights > 0.0))
         dense = assemble_dense(inst.model)
         worst_diag = max(
-            worst_diag, float((np.abs(dense.variances - inst.cov.variances) / inst.cov.variances).max())
+            worst_diag, float((np.abs(np.diag(dense) - np.diag(inst.cov)) / np.diag(inst.cov)).max())
         )
     _report(
         3,
@@ -245,11 +245,9 @@ def _parity_fixture():
     sigma = rng.lognormal(-3.9, 0.3, 12)
     values = np.linalg.cholesky(corr * np.outer(sigma, sigma)) @ rng.standard_normal((12, 150))
     panel = ReturnsPanel(tickers, tuple(f"d{s:03d}" for s in range(150)), values)
-    from nestbench import sample_covariance
-
     cov = sample_covariance(panel)
     beta_hat = rng.uniform(0.8, 1.4, 12)
-    beta = BetaVector(tickers, beta_hat * np.sqrt(cov.variances))
+    beta = BetaVector(tickers, beta_hat * np.sqrt(np.diag(cov)))
     return panel, tree, cov, beta
 
 
@@ -275,13 +273,11 @@ def _clamped_fixture():
     sigma = rng.lognormal(-3.9, 0.3, 12)
     values = np.linalg.cholesky(corr * np.outer(sigma, sigma)) @ rng.standard_normal((12, 150))
     panel = ReturnsPanel(tickers, tuple(f"d{s:03d}" for s in range(150)), values)
-    from nestbench import sample_covariance
-
     cov = sample_covariance(panel)
     # per-sub standardized betas widen the per-sub fit windows enough for the
     # sector-level bounds to cross (each sub stays internally admissible)
     beta_hat = np.repeat([0.8, 1.4, 1.0, 1.0], 3)
-    beta = BetaVector(tickers, beta_hat * np.sqrt(cov.variances))
+    beta = BetaVector(tickers, beta_hat * np.sqrt(np.diag(cov)))
     return panel, tree, cov, beta
 
 

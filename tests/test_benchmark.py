@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _dense import benchmark_weights_oracle, betas_from_weights, general_factor_weights
 from _reference import reference_weights
@@ -11,15 +13,15 @@ from nestbench import (
     ReturnsPanel,
     RussianDollModel,
     ThetaFitConfig,
-    assemble_dense,
     benchmark_weights,
     build_russian_doll,
     make_betas,
     tree_from_labels,
 )
-from nestbench.benchmark import write_weights_csv
+from nestbench.benchmark import _median, write_weights_csv
 from nestbench.data_model import read_keyed_csv
 from nestbench.errors import InputError, InvalidBeta, SingularCovariance
+from nestbench.risk_model import assemble_dense
 
 
 class TestOracle:
@@ -211,7 +213,7 @@ class TestMakeBetas:
     def test_proportional_to_sigma(self):
         inst = random_instance(1, n_range=(6, 12))
         beta = make_betas(inst.panel)
-        sigma = np.sqrt(inst.cov.variances)
+        sigma = np.sqrt(np.diag(inst.cov))
         np.testing.assert_allclose(beta.values, sigma, rtol=1e-14)
         standardized = beta.values / sigma
         assert standardized.max() / standardized.min() == pytest.approx(1.0, abs=1e-12)
@@ -254,6 +256,14 @@ class TestMakeBetas:
     def test_unknown_mode_rejected(self):
         with pytest.raises(InputError):
             BetaSpec(mode="whatever")
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=80))
+def test_median_is_numpy_median_bit_for_bit(values):
+    x = np.array(values)
+    with np.errstate(over="ignore"):  # two large middle values sum to inf in both
+        assert np.float64(_median(x)).tobytes() == np.median(x).tobytes()
 
 
 def test_weights_csv_roundtrip(tmp_path):

@@ -595,6 +595,35 @@ def test_benchmark_imports_no_masked_arrays(tmp_path):
     assert done.stdout.split()[-2:] == ["0", "False"]
 
 
+def _index_returns(fix, path):
+    """The equal-weighted mean of the fixture's returns as an index file."""
+    rows = _returns_rows(fix)
+    mean = np.array([[float(x) for x in row[1:]] for row in rows[1:]]).mean(axis=0)
+    return _write_rows(path, [["date", "value"]] + [[d, repr(float(v))] for d, v in zip(rows[0][1:], mean)])
+
+
+@pytest.mark.parametrize("command", ["benchmark-observed-capped", "betas-observed-capped", "overlay", "synth"])
+def test_command_imports_no_masked_arrays(tmp_path, command):
+    # numpy.ma costs about 17 ms on first import; test_benchmark_imports_no_masked_arrays
+    # covers the benchmark with its default betas
+    fix = _synth(tmp_path)
+    returns = ["--returns", str(fix / "returns.csv")]
+    classification = ["--classification", str(fix / "classification.csv")]
+    capped = ["--beta-mode", "observed-capped", "--index-returns", str(_index_returns(fix, tmp_path / "index.csv"))]
+    argv = {
+        "benchmark-observed-capped": ["benchmark", *returns, *classification, *capped],
+        "betas-observed-capped": ["betas", *returns, *capped],
+        "overlay": ["overlay", *returns, *classification,
+                    "--expected-returns", str(_write_signal(fix / "returns.csv", tmp_path / "e.csv", jitter=0.01))],
+        "synth": ["synth", "--n", "16", "--t", "250", "--clusters", "4,2", "--rho", "0.5,0.3",
+                  "--market-rho", "0.1", "--seed", "7"],
+    }[command] + ["--out", str(tmp_path / "out")]
+    code = f"import sys; from nestbench.cli import main; print(main({argv!r}), 'numpy.ma' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=blas_threads_env(1),
+                          check=True, capture_output=True, text=True, timeout=300)
+    assert done.stdout.split()[-2:] == ["0", "False"]
+
+
 def _load_by_path(*parts):
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     spec = importlib.util.spec_from_file_location("_under_test_" + parts[-1][:-3], os.path.join(root, *parts))

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nestbench
 from conftest import panel_with_covariance, random_instance
 from _dense import DenseCovariance, fit_block
 
@@ -13,7 +14,6 @@ from nestbench import (
     RussianDollModel,
     SyntheticSpec,
     ThetaFitConfig,
-    assemble_dense,
     benchmark_weights,
     build_russian_doll,
     combine,
@@ -27,6 +27,7 @@ from nestbench import (
     tree_from_labels,
 )
 from nestbench.errors import InputError, InvalidVariance, NegativeSpecificVariance
+from nestbench.risk_model import assemble_dense
 
 DEFAULT = ThetaFitConfig()
 
@@ -94,7 +95,7 @@ class TestBuildRussianDoll:
         inst = random_instance(0, n_range=(4, 4), p_range=(1, 1), mkt_fac=True)
         assert np.all(inst.model.xi2 > 0)
         dense = assemble_dense(inst.model)
-        np.testing.assert_allclose(dense.variances, inst.cov.variances, rtol=1e-10)
+        np.testing.assert_allclose(np.diag(dense), np.diag(inst.cov), rtol=1e-10)
 
     def test_inadmissible_dispersion_aborts(self):
         tree = _two_cluster_tree()
@@ -173,7 +174,7 @@ def _planted_and_limit(seed, t):
     whose sample covariance is the planted model's, to rounding."""
     instance = generate(SyntheticSpec(t=t, seed=seed, **_TRUTH))
     truth = instance.population_model
-    panel = panel_with_covariance(instance.tree.tickers, assemble_dense(truth).values)
+    panel = panel_with_covariance(instance.tree.tickers, assemble_dense(truth))
     return instance, build_russian_doll(panel, instance.tree, truth.beta)
 
 
@@ -236,7 +237,7 @@ class TestAssembleDense:
         tree = _two_cluster_tree()
         xi2 = np.array([0.5, 0.7, 0.9, 1.1])
         model = self._model(tree, xi2, [np.zeros(2)], 0.0)
-        np.testing.assert_array_equal(assemble_dense(model).values, np.diag(xi2))
+        np.testing.assert_array_equal(assemble_dense(model), np.diag(xi2))
 
     def test_single_cluster_rank_one(self):
         tree = tree_from_labels(("A", "B", "C"), [("c",), ("c",), ("c",)])
@@ -244,19 +245,19 @@ class TestAssembleDense:
         beta = np.array([1.0, 1.5, 0.8])
         model = self._model(tree, xi2, [np.zeros(1)], 0.3, beta=beta)
         expected = np.diag(xi2) + 0.3 * np.outer(beta, beta)
-        np.testing.assert_allclose(assemble_dense(model).values, expected, rtol=1e-15)
+        np.testing.assert_allclose(assemble_dense(model), expected, rtol=1e-15)
 
     def test_fitted_models_match_sample_diagonal(self):
         for seed in range(5):
             inst = random_instance(seed, n_range=(6, 30))
             dense = assemble_dense(inst.model)
-            rel = np.abs(dense.variances - inst.cov.variances) / inst.cov.variances
+            rel = np.abs(np.diag(dense) - np.diag(inst.cov)) / np.diag(inst.cov)
             assert rel.max() <= 1e-10
 
     def test_positive_definite(self):
         for seed in range(5):
             inst = random_instance(seed + 50, n_range=(6, 30))
-            np.linalg.cholesky(assemble_dense(inst.model).values)  # raises if not PD
+            np.linalg.cholesky(assemble_dense(inst.model))  # raises if not PD
 
     def test_rejects_variances_that_break_positive_definiteness(self):
         # the overlay relies on these checks: it takes the model, not a matrix
@@ -384,7 +385,7 @@ class TestScaleBehaviour:
         # variances carry it explicitly
         np.testing.assert_allclose(scaled.xi2, c**2 * inst.model.xi2, rtol=1e-12)
         np.testing.assert_allclose(
-            assemble_dense(scaled).values, c**2 * assemble_dense(inst.model).values, rtol=1e-12
+            assemble_dense(scaled), c**2 * assemble_dense(inst.model), rtol=1e-12
         )
 
 
@@ -398,7 +399,7 @@ class TestSerialization:
         for a, b in zip(back.zeta2, inst.model.zeta2):
             np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(
-            assemble_dense(back).values, assemble_dense(inst.model).values
+            assemble_dense(back), assemble_dense(inst.model)
         )
 
     def test_loads_snapshot_with_unit_chi(self):
@@ -409,7 +410,7 @@ class TestSerialization:
         data["chi"] = [1.0] * inst.tree.n_levels
         back = model_from_dict(data)
         np.testing.assert_array_equal(
-            assemble_dense(back).values, assemble_dense(inst.model).values
+            assemble_dense(back), assemble_dense(inst.model)
         )
 
     def test_rejects_non_unit_chi(self):
@@ -428,3 +429,9 @@ class TestSerialization:
         back = load_model(path)
         np.testing.assert_array_equal(back.xi2, inst.model.xi2)
         assert back.configs == inst.model.configs
+
+
+def test_dense_helpers_are_not_public_names():
+    # the dense N x N forms serve only checks, so the package does not offer them
+    dense = {"CovarianceMatrix", "sample_covariance", "assemble_dense"}
+    assert not dense & (set(dir(nestbench)) | set(nestbench.__all__))

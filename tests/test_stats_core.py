@@ -7,13 +7,9 @@ import pytest
 from conftest import blas_threads_env
 from _dense import DegeneratePortfolioVariance, betas_from_weights
 
-from nestbench import (
-    CovarianceMatrix,
-    ReturnsPanel,
-    sample_covariance,
-    serial_betas,
-)
+from nestbench import ReturnsPanel, serial_betas
 from nestbench.errors import DegenerateBenchmark
+from nestbench.risk_model import sample_covariance
 
 
 def _panel(values, tickers=None):
@@ -28,24 +24,24 @@ class TestSampleCovariance:
         # rows (0.01, 0.03) and (0.02, 0.02): demeaned first row (-0.01, 0.01)
         # gives 2e-4 with the T-1 denominator; the constant row gives zeros
         cov = sample_covariance(_panel([[0.01, 0.03], [0.02, 0.02]]))
-        np.testing.assert_allclose(cov.values, [[2e-4, 0.0], [0.0, 0.0]], atol=1e-18)
+        np.testing.assert_allclose(cov, [[2e-4, 0.0], [0.0, 0.0]], atol=1e-18)
 
     def test_constant_row_is_zero(self):
         # dyadic constant so demeaning is exact
         cov = sample_covariance(_panel([[0.0625, 0.0625, 0.0625], [0.01, 0.02, 0.00]]))
-        assert np.all(cov.values[0] == 0.0)
-        assert np.all(cov.values[:, 0] == 0.0)
+        assert np.all(cov[0] == 0.0)
+        assert np.all(cov[:, 0] == 0.0)
 
     def test_duplicate_row_symmetry(self):
         row = [0.01, -0.02, 0.03, 0.0]
         cov = sample_covariance(_panel([row, row]))
-        assert cov.values[0, 0] == cov.values[1, 1] == cov.values[0, 1]
+        assert cov[0, 0] == cov[1, 1] == cov[0, 1]
 
     def test_matches_numpy(self):
         rng = np.random.default_rng(0)
         values = rng.normal(0, 0.02, (5, 40))
         cov = sample_covariance(_panel(values))
-        np.testing.assert_allclose(cov.values, np.cov(values), rtol=1e-13)
+        np.testing.assert_allclose(cov, np.cov(values), rtol=1e-13)
 
 
 class TestSerialBetas:
@@ -79,32 +75,31 @@ class TestSerialBetas:
 
 class TestBetasFromWeights:
     def test_identity_covariance(self):
-        cov = CovarianceMatrix(("A", "B"), np.eye(2))
+        cov = np.eye(2)
         beta, sigma2 = betas_from_weights(cov, np.array([0.5, 0.5]))
         assert sigma2 == pytest.approx(0.5, rel=1e-15)
         np.testing.assert_allclose(beta, [1.0, 1.0], rtol=1e-15)
 
     def test_diagonal_covariance(self):
-        cov = CovarianceMatrix(("A", "B"), np.diag([1.0, 4.0]))
+        cov = np.diag([1.0, 4.0])
         beta, sigma2 = betas_from_weights(cov, np.array([0.5, 0.5]))
         assert sigma2 == pytest.approx(1.25, rel=1e-15)
         np.testing.assert_allclose(beta, [0.4, 1.6], rtol=1e-15)
 
     def test_single_stock_benchmark(self):
         values = np.array([[2.0, 0.5, 0.1], [0.5, 1.0, 0.2], [0.1, 0.2, 3.0]])
-        cov = CovarianceMatrix(("A", "B", "C"), values)
-        beta, _ = betas_from_weights(cov, np.array([1.0, 0.0, 0.0]))
+        beta, _ = betas_from_weights(values, np.array([1.0, 0.0, 0.0]))
         np.testing.assert_allclose(beta, values[:, 0] / values[0, 0], rtol=1e-14)
 
     def test_nonpositive_variance(self):
-        cov = CovarianceMatrix(("A", "B"), np.array([[1.0, -1.0], [-1.0, 1.0]]))
+        cov = np.array([[1.0, -1.0], [-1.0, 1.0]])
         with pytest.raises(DegeneratePortfolioVariance):
             betas_from_weights(cov, np.array([0.5, 0.5]))
 
     def test_weighted_betas_sum_to_one(self):
         rng = np.random.default_rng(9)
         a = rng.normal(size=(7, 7))
-        cov = CovarianceMatrix(tuple(f"S{i}" for i in range(7)), a @ a.T)
+        cov = a @ a.T
         w = rng.uniform(0.1, 1.0, 7)
         beta, _ = betas_from_weights(cov, w)
         assert abs(w @ beta - 1.0) <= 1e-12

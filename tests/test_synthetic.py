@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from nestbench import SyntheticSpec, assemble_dense, generate
+from nestbench import SyntheticSpec, generate
 from nestbench.errors import InputError
+from nestbench.risk_model import assemble_dense
 
 
 def test_deterministic_given_seed():
@@ -40,7 +41,7 @@ def test_population_cov_matches_plan():
     spec = SyntheticSpec(n=8, t=10, clusters=(2,), rho=(0.5,), market_rho=0.1, seed=0)
     instance = generate(spec)
     sigma = instance.population_model.beta.values
-    corr = assemble_dense(instance.population_model).values / np.outer(sigma, sigma)
+    corr = assemble_dense(instance.population_model) / np.outer(sigma, sigma)
     composed = instance.tree.stock_clusters(1)
     for i in range(8):
         for j in range(8):
