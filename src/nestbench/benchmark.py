@@ -55,7 +55,7 @@ class BetaSpec:
     def __post_init__(self):
         if self.mode not in BETA_MODES:
             raise InputError(f"unknown beta mode {self.mode!r}, expected one of {BETA_MODES}")
-        if self.kappa_max <= 0.0 or self.kappa_min <= 0.0:
+        if not (self.kappa_max > 0.0 and self.kappa_min > 0.0):  # refuses NaN too
             raise InputError("kappa_max and kappa_min must be positive")
 
 

@@ -9,6 +9,7 @@ error, 4 optimizer non-convergence or a failed KKT certificate.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -37,7 +38,6 @@ from .errors import DuplicateTicker, InputError, ModelError, SolverError
 from .overlay import check_modes, make_overlay_problem, residualize, tune_gamma
 from .risk_model import ThetaFitConfig, build_russian_doll, save_model
 from .risk_model import assemble_dense, sample_covariance  # noqa: F401  (perfbench/trace_layers.py wraps these names here)
-from .synthetic import SyntheticSpec, generate
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -112,7 +112,10 @@ def _scalar(kind):
         fraction = kind is int and isinstance(value, float) and not value.is_integer()
         if isinstance(value, bool) != (kind is bool) or fraction:
             raise TypeError(value)
-        return kind(value)
+        converted = kind(value)
+        if kind is float and not math.isfinite(converted):
+            raise ValueError(value)
+        return converted
 
     return convert
 
@@ -318,6 +321,8 @@ def cmd_overlay(cfg: dict) -> int:
 
 
 def cmd_synth(cfg: dict) -> int:
+    from .synthetic import SyntheticSpec, generate  # here, so no other command compiles synthetic.py
+
     spec = SyntheticSpec(
         n=cfg["n"],
         t=cfg["t"],

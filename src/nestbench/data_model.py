@@ -115,9 +115,6 @@ class ClassificationTree:
                 missing = sorted(set(range(k)) - set(m.tolist()))
                 raise InputError(f"empty level-{lvl + 1} cluster(s): {missing}")
             m.setflags(write=False)
-        counts = self.cluster_counts
-        if any(counts[i] < counts[i + 1] for i in range(len(counts) - 1)):
-            raise InputError(f"cluster counts must not increase with level: {counts}")
 
     @property
     def n_levels(self) -> int:
@@ -442,8 +439,11 @@ def _parse_cells(text: bytes, out: np.ndarray) -> None:
     exact = numbers.astype(np.longdouble)
     power = _POW10_OF_SCALE.take(scale + _MAX_SCALE, mode="clip")
     down = scale < 0
-    np.divide(exact, power, out=exact, where=down)
-    np.multiply(exact, power, out=exact, where=~down)
+    if down.all():
+        np.divide(exact, power, out=exact)
+    else:
+        np.divide(exact, power, out=exact, where=down)
+        np.multiply(exact, power, out=exact, where=~down)
     out[...] = exact
     slow |= _narrowed_from_a_tie(exact, out)
     for cell in slow.nonzero()[0].tolist():
@@ -459,13 +459,16 @@ def _dot_scales(b: np.ndarray, ends: np.ndarray, exps: np.ndarray, exp_cells: np
     dots = (b == _DOT).nonzero()[0]
     mantissa_ends = ends.copy()
     mantissa_ends[exp_cells] = exps
-    dot_cells = np.searchsorted(ends, dots)
-    if (dot_cells[1:] <= dot_cells[:-1]).any():
-        raise ValueError("two dots in a cell")
-    scale = np.zeros(len(ends), dtype=np.int64)
-    scale[dot_cells] = dots + 1 - mantissa_ends[dot_cells]
-    if (scale > 0).any():
-        raise ValueError("a dot after the exponent")
+    if len(dots) == len(ends) and (dots < mantissa_ends).all() and (dots[1:] > ends[:-1]).all():
+        scale = dots + 1 - mantissa_ends  # the common case: one dot in each cell's mantissa
+    else:
+        dot_cells = np.searchsorted(ends, dots)
+        if (dot_cells[1:] <= dot_cells[:-1]).any():
+            raise ValueError("two dots in a cell")
+        scale = np.zeros(len(ends), dtype=np.int64)
+        scale[dot_cells] = dots + 1 - mantissa_ends[dot_cells]
+        if (scale > 0).any():
+            raise ValueError("a dot after the exponent")
     # the reader takes a lone sign as 0: so no sign may follow a dot, and an
     # exponent needs a digit after its sign
     after = b[exps + 1]

@@ -76,9 +76,8 @@ class OverlayProblem:
             raise InputError(f"constraint matrix has shape {q.shape}, expected ({n}, p)")
         _require_finite("expected return", e)
         _require_finite("benchmark weight", w_star)
-        nan_bound = np.flatnonzero(np.isnan(lower) | np.isnan(upper))
-        if nan_bound.size:
-            raise InputError(f"bound of stock {int(nan_bound[0])} is NaN")
+        _require_finite("lower bound", lower)
+        _require_finite("upper bound", upper)
         if np.any(w_star <= 0.0):
             raise InputError("benchmark weights must be strictly positive")
         if abs(w_star.sum() - 1.0) > 1e-8:
@@ -199,8 +198,8 @@ def make_overlay_problem(
         raise InputError("benchmark weights must be strictly positive")
     w = w / w.sum()
     if lower is None:
-        if not 0.0 < band:
-            raise InputError("band must be positive")
+        if not 0.0 < band < math.inf:
+            raise InputError("band must be positive and finite")
         lower = -band * w if band < 1.0 else -w
     if upper is None:
         upper = band * w
@@ -488,10 +487,10 @@ def tune_gamma(
     """
     if gamma_max is None:
         gamma_max = default_gamma_max(problem)
-    if gamma_max <= 0.0:
-        raise InputError("gamma_max must be positive")
-    if tol <= 0.0:
-        raise InputError("tol must be positive")
+    if not 0.0 < gamma_max < math.inf:
+        raise InputError("gamma_max must be positive and finite")
+    if not 0.0 < tol < math.inf:
+        raise InputError("tol must be positive and finite")
 
     cache: dict[float, tuple[np.ndarray, float]] = {}
 

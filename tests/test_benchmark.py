@@ -257,6 +257,11 @@ class TestMakeBetas:
         with pytest.raises(InputError):
             BetaSpec(mode="whatever")
 
+    @pytest.mark.parametrize("kappa", ["kappa_max", "kappa_min"])
+    def test_nan_kappa_rejected(self, kappa):
+        with pytest.raises(InputError, match=kappa):
+            BetaSpec(mode="observed-capped", **{kappa: float("nan")})
+
 
 @settings(max_examples=400, deadline=None)
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=80))

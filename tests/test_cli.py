@@ -602,10 +602,9 @@ def _index_returns(fix, path):
     return _write_rows(path, [["date", "value"]] + [[d, repr(float(v))] for d, v in zip(rows[0][1:], mean)])
 
 
-@pytest.mark.parametrize("command", ["benchmark-observed-capped", "betas-observed-capped", "overlay", "synth"])
-def test_command_imports_no_masked_arrays(tmp_path, command):
-    # numpy.ma costs about 17 ms on first import; test_benchmark_imports_no_masked_arrays
-    # covers the benchmark with its default betas
+def _imported_by(tmp_path, command, module):
+    """Run one command in a child process: its exit code and whether it
+    imported ``module``, as the last two words it prints."""
     fix = _synth(tmp_path)
     returns = ["--returns", str(fix / "returns.csv")]
     classification = ["--classification", str(fix / "classification.csv")]
@@ -618,10 +617,59 @@ def test_command_imports_no_masked_arrays(tmp_path, command):
         "synth": ["synth", "--n", "16", "--t", "250", "--clusters", "4,2", "--rho", "0.5,0.3",
                   "--market-rho", "0.1", "--seed", "7"],
     }[command] + ["--out", str(tmp_path / "out")]
-    code = f"import sys; from nestbench.cli import main; print(main({argv!r}), 'numpy.ma' in sys.modules)"
+    code = f"import sys; from nestbench.cli import main; print(main({argv!r}), {module!r} in sys.modules)"
     done = subprocess.run([sys.executable, "-c", code], env=blas_threads_env(1),
                           check=True, capture_output=True, text=True, timeout=300)
-    assert done.stdout.split()[-2:] == ["0", "False"]
+    return done.stdout.split()[-2:]
+
+
+@pytest.mark.parametrize("command", ["benchmark-observed-capped", "betas-observed-capped", "overlay", "synth"])
+def test_command_imports_no_masked_arrays(tmp_path, command):
+    # numpy.ma costs about 17 ms on first import; test_benchmark_imports_no_masked_arrays
+    # covers the benchmark with its default betas
+    assert _imported_by(tmp_path, command, "numpy.ma") == ["0", "False"]
+
+
+@pytest.mark.parametrize("command", ["benchmark-observed-capped", "betas-observed-capped", "overlay"])
+def test_command_imports_no_generator(tmp_path, command):
+    # only synth runs synthetic.py; compiling it costs every other command's start-up
+    assert _imported_by(tmp_path, command, "nestbench.synthetic") == ["0", "False"]
+
+
+def test_package_import_loads_no_submodule():
+    code = "import sys, nestbench; print(sorted(m for m in sys.modules if m.startswith('nestbench.')))"
+    done = subprocess.run([sys.executable, "-c", code], env=blas_threads_env(1),
+                          check=True, capture_output=True, text=True, timeout=300)
+    assert done.stdout.strip() == "[]"
+
+
+# the public names, each with the module that defines it
+_PUBLIC_NAMES = {
+    "benchmark": {"BenchmarkResult", "BetaSpec", "benchmark_weights", "make_betas", "serial_betas"},
+    "data_model": {"BetaVector", "ClassificationTree", "ReturnsPanel", "SingletonCluster", "load_classification_csv",
+                   "load_returns_csv", "tree_from_labels", "validate_tree", "write_classification_csv",
+                   "write_returns_csv"},
+    "overlay": {"CombinedPortfolio", "KKTReport", "OverlayProblem", "OverlayResult", "build_constraints", "combine",
+                "default_gamma_max", "kkt_check", "make_overlay_problem", "optimize_mvo", "residualize",
+                "sharpe_ratio", "tune_gamma"},
+    "risk_model": {"RussianDollModel", "ThetaFitConfig", "build_russian_doll", "fit_theta", "load_model",
+                   "model_from_dict", "model_to_dict", "save_model"},
+    "synthetic": {"SyntheticInstance", "SyntheticSpec", "generate"},
+}
+
+
+def test_public_names_resolve_to_their_modules():
+    expected = {name: home for home, names in _PUBLIC_NAMES.items() for name in names}
+    assert len(expected) == 39
+    assert sorted(nestbench.__all__) == sorted(expected)
+    for name, home in expected.items():
+        assert getattr(nestbench, name).__module__ == "nestbench." + home, name
+    namespace = {}
+    exec("from nestbench import *", namespace)
+    assert set(expected) <= set(namespace)
+    assert set(expected) <= set(dir(nestbench))
+    with pytest.raises(AttributeError):
+        nestbench.no_such_name
 
 
 def _load_by_path(*parts):
@@ -649,6 +697,22 @@ def test_config_value_of_wrong_type_is_input_error(tmp_path, capsys, command, co
     path.write_text(json.dumps(config))
     assert run("--config", str(path), command, "--out", str(tmp_path / "o")) == 2
     assert repr(next(iter(config))) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [
+    *((key, value) for key in ("tol", "gamma_max", "band_z", "kappa_max") for value in ("nan", "inf", "-inf")),
+    ("upper_bounds", [0.01] * 15 + [float("inf")]),  # a config file's Infinity
+])
+def test_non_finite_option_is_input_error(tmp_path, capsys, key, value):
+    fix = _synth(tmp_path)
+    signal = _write_signal(fix / "returns.csv", tmp_path / "e.csv", jitter=0.01)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({key: value} if isinstance(value, list) else {}))
+    flags = [] if isinstance(value, list) else [f"--{key.replace('_', '-')}={value}"]  # = lets -inf through
+    assert run("--config", str(config), "overlay", "--returns", str(fix / "returns.csv"),
+               "--classification", str(fix / "classification.csv"), "--expected-returns", str(signal),
+               *flags, "--out", str(tmp_path / "o")) == 2
+    assert repr(key) in capsys.readouterr().err
 
 
 _MODEL_FLAGS = {"--returns", "--beta-mode", "--index-returns", "--beta-file", "--kappa-max", "--kappa-min",

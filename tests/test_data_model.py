@@ -18,6 +18,7 @@ from conftest import _counted, assert_no_child_left, blas_threads_env, returns_r
 import nestbench
 from nestbench import (
     BetaVector,
+    ClassificationTree,
     ReturnsPanel,
     SyntheticSpec,
     generate,
@@ -733,6 +734,9 @@ def test_tree_from_labels_counts_never_increase():
     labels = [("a", "X"), ("b", "X"), ("c", "Y"), ("d", "Y")]
     tree = tree_from_labels(("A", "B", "C", "D"), labels)
     assert tree.cluster_counts == (4, 2)
+    # more level-2 than level-1 clusters leaves a level-2 cluster empty
+    with pytest.raises(InputError, match="empty level-2"):
+        ClassificationTree(("A", "B"), (("a", "b"), ("X", "Y", "Z")), (np.array([0, 1]), np.array([0, 1])))
 
 
 @st.composite

@@ -136,11 +136,16 @@ class TestProblemValidation:
             ({"w_star": [0.5, 0.5, np.inf]}, 2),
             ({"lower": [nan, -0.1, -0.1]}, 0),
             ({"upper": [0.1, 0.1, nan]}, 2),
+            ({"upper": [0.1, np.inf, 0.1]}, 1),
         ):
             with pytest.raises(InputError, match=f"stock {stock} "):
                 dataclasses.replace(problem, **changes)
         with pytest.raises(InputError, match="stock 1 "):
             _problem([0.1, -0.1, 0.0], np.eye(3), w_star=[0.5, nan, 0.5])
+        with pytest.raises(InputError, match="stock 2 "):
+            _problem([0.1, -0.1, 0.0], np.eye(3), upper=[0.1, 0.1, np.inf])
+        with pytest.raises(InputError, match="band"):
+            _problem([0.1, -0.1, 0.0], np.eye(3), band=np.inf)
 
 
 class TestOptimizeMvo:
@@ -399,6 +404,12 @@ class TestTuneGamma:
         assert result.sharpe_opt >= max(sharpes) - 1e-9
         report_actives = len(result.active_lower) + len(result.active_upper)
         assert 0 < report_actives < problem.n_stocks
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("setting", ["tol", "gamma_max"])
+    def test_non_finite_settings_rejected(self, setting, value):
+        with pytest.raises(InputError, match=setting):
+            tune_gamma(self._binding_fixture(), **{"gamma_max": 1.0, setting: value})
 
     def test_wide_bounds_saturate_bracket(self):
         problem, _ = random_overlay_problem(77)
