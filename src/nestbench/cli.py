@@ -98,7 +98,7 @@ def _merge_config(args) -> dict:
             merged[key.replace("-", "_")] = value
     merged.update((key, getattr(args, key)) for key in keys if getattr(args, key) is not None)
     for key, value in merged.items():
-        if value is not None:
+        if value is not None or _OPTIONS[key][1] is not None:  # null only for keys that default to it
             try:
                 merged[key] = _OPTIONS[key][0](value)
             except (TypeError, ValueError):
@@ -210,7 +210,7 @@ def _resolve_beta(cfg: dict, panel):
     if cfg["beta_mode"] == "observed-capped":
         if not cfg.get("index_returns"):
             raise InputError("observed-capped beta mode requires --index-returns")
-        index_returns = _load_index_returns(cfg["index_returns"], panel)
+        index_returns = _load_in_order(cfg["index_returns"], ("date", "value"), panel.dates)
     elif cfg["beta_mode"] == "explicit":
         if not cfg.get("beta_file"):
             raise InputError("explicit beta mode requires --beta-file")
@@ -218,13 +218,14 @@ def _resolve_beta(cfg: dict, panel):
     return make_betas(panel, BetaSpec(**spec_kwargs), index_returns)
 
 
-def _load_index_returns(path, panel) -> np.ndarray:
-    rows = read_keyed_csv(path, ("date", "value"))
-    if len(rows) != panel.n_periods:
-        raise InputError(f"{path}: {len(rows)} rows, expected {panel.n_periods} periods")
-    for (date, _), expected in zip(rows, panel.dates):
-        if date != expected:
-            raise InputError(f"{path}: date {date!r} does not match panel date {expected!r}")
+def _load_in_order(path, header, keys) -> np.ndarray:
+    """The values of a keyed CSV whose keys must be ``keys``, in that order."""
+    rows = read_keyed_csv(path, header)
+    if len(rows) != len(keys):
+        raise InputError(f"{path}: {len(rows)} rows, expected one per panel {header[0]} ({len(keys)})")
+    for row, ((key, _), expected) in enumerate(zip(rows, keys), start=1):
+        if key != expected:
+            raise InputError(f"{path}: data row {row} has {header[0]} {key!r} where the panel has {expected!r}")
     return np.array([value for _, value in rows])
 
 
@@ -271,10 +272,7 @@ def cmd_overlay(cfg: dict) -> int:
     modes = _modes(cfg["constraints"])
     panel, tree, model = _build_model(cfg)
     if cfg.get("weights"):
-        rows = read_keyed_csv(cfg["weights"], ("ticker", "weight"))
-        if tuple(ticker for ticker, _ in rows) != panel.tickers:
-            raise InputError(f"{cfg['weights']}: tickers do not match the returns panel")
-        w_star = np.array([weight for _, weight in rows])
+        w_star = _load_in_order(cfg["weights"], ("ticker", "weight"), panel.tickers)
     else:
         w_star = benchmark_weights(model).weights
     if not cfg.get("expected_returns"):

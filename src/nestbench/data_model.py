@@ -547,7 +547,7 @@ def load_classification_csv(path: str | os.PathLike, panel: ReturnsPanel) -> Cla
         if len(row) != p + 1:
             raise InputError(f"{path}: row {r + 1} has {len(row)} fields, expected {p + 1}")
         if row[0] in by_ticker:
-            raise DuplicateTicker(row[0])
+            raise DuplicateTicker(row[0], path)
         for c, cell in enumerate(row[1:]):
             if cell == "":
                 raise InputError(f"{path}: empty level-{c + 1} label on row {r + 1}")

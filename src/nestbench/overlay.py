@@ -74,24 +74,18 @@ class OverlayProblem:
                 raise InputError(f"{name} has shape {arr.shape}, expected {(n,)}")
         if q.ndim != 2 or q.shape[0] != n or q.shape[1] < 1:
             raise InputError(f"constraint matrix has shape {q.shape}, expected ({n}, p)")
-        _require_finite("expected return", e)
-        _require_finite("benchmark weight", w_star)
-        _require_finite("lower bound", lower)
-        _require_finite("upper bound", upper)
-        if np.any(w_star <= 0.0):
-            raise InputError("benchmark weights must be strictly positive")
+        for name, arr in (("expected return", e), ("benchmark weight", w_star),
+                          ("lower bound", lower), ("upper bound", upper)):
+            _require_each(np.isfinite(arr), name + " of stock {} is not finite")
+        _require_each(w_star > 0.0, "benchmark weight of stock {} is not strictly positive")
         if abs(w_star.sum() - 1.0) > 1e-8:
             raise InputError("benchmark weights must sum to 1 (renormalize first)")
-        if np.any(upper < lower):
-            raise InputError("upper bound below lower bound")
-        if np.any(lower > 0.0) or np.any(upper < 0.0):
-            raise InputError("bounds must satisfy lower <= 0 <= upper")
-        if np.any(lower < -w_star - 1e-12):
-            raise InputError("lower bounds must not allow short of more than the benchmark holding")
+        _require_each((lower <= 0.0) & (upper >= 0.0), "bounds of stock {} break lower <= 0 <= upper")
+        _require_each(lower >= -w_star - 1e-12, "lower bound of stock {} is below minus its benchmark weight")
         if not np.allclose(q[:, 0], 1.0):
             raise InputError("first constraint column must be the unit vector (dollar neutrality)")
         svals = np.linalg.svd(q, compute_uv=False)
-        if svals[-1] <= 1e-10 * svals[0]:
+        if q.shape[1] > n or svals[-1] <= 1e-10 * svals[0]:  # more columns than stocks: dependent
             raise DegenerateConstraints("constraint columns are linearly dependent")
         for name, arr in (("expected_returns", e), ("w_star", w_star),
                           ("lower", lower), ("upper", upper), ("constraints", q)):
@@ -147,10 +141,12 @@ class OverlayResult:
     eq_residual: float
 
 
-def _require_finite(name: str, values: np.ndarray) -> None:
-    broken = np.flatnonzero(~np.isfinite(values))
+def _require_each(ok: np.ndarray, message: str) -> None:
+    """Raise ``InputError`` with ``message`` naming the first stock where the
+    per-stock rule ``ok`` fails."""
+    broken = np.flatnonzero(~ok)
     if broken.size:
-        raise InputError(f"{name} of stock {int(broken[0])} is not finite")
+        raise InputError(message.format(int(broken[0])))
 
 
 def check_modes(modes) -> None:
@@ -161,11 +157,10 @@ def check_modes(modes) -> None:
 
 
 def build_constraints(modes, model: RussianDollModel, w_star: np.ndarray) -> np.ndarray:
-    """Assemble the constraint matrix for the requested neutrality modes.
-
-    The dollar-neutrality unit column always comes first; zero expected
-    correlation adds Gamma w_star, benchmark orthogonality adds w_star.
-    """
+    """Assemble the constraint matrix for the requested neutrality modes:
+    the dollar-neutrality unit column first, Gamma w_star for zero expected
+    correlation, w_star for benchmark orthogonality. ``OverlayProblem``
+    refuses columns that are linearly dependent."""
     modes = set(modes)
     check_modes(modes)
     w = np.asarray(w_star, dtype=float)
@@ -174,11 +169,7 @@ def build_constraints(modes, model: RussianDollModel, w_star: np.ndarray) -> np.
         columns.append(model.matvec(w))
     if "orthogonal-to-benchmark" in modes:
         columns.append(w)
-    q = np.column_stack(columns)
-    svals = np.linalg.svd(q, compute_uv=False)
-    if svals[-1] <= 1e-10 * svals[0]:
-        raise DegenerateConstraints("requested constraint columns are linearly dependent")
-    return q
+    return np.column_stack(columns)
 
 
 def make_overlay_problem(
@@ -193,13 +184,13 @@ def make_overlay_problem(
     """Normalize the benchmark, default the bounds to a percentage band of
     it, assemble constraints, and validate the lot."""
     w = np.asarray(w_star, dtype=float)
-    _require_finite("benchmark weight", w)
-    if np.any(w <= 0.0):
-        raise InputError("benchmark weights must be strictly positive")
+    # checked before normalizing, which spreads a NaN and makes all-negative weights positive
+    _require_each(np.isfinite(w), "benchmark weight of stock {} is not finite")
+    _require_each(w > 0.0, "benchmark weight of stock {} is not strictly positive")
     w = w / w.sum()
+    if (lower is None or upper is None) and not 0.0 < band < math.inf:
+        raise InputError(f"band must be positive and finite, got {band}")
     if lower is None:
-        if not 0.0 < band < math.inf:
-            raise InputError("band must be positive and finite")
         lower = -band * w if band < 1.0 else -w
     if upper is None:
         upper = band * w
@@ -558,7 +549,7 @@ def combine(w_star: np.ndarray, w_prime: np.ndarray, model: RussianDollModel) ->
     """
     w_star = np.asarray(w_star, dtype=float)
     w_prime = np.asarray(w_prime, dtype=float)
-    _require_finite("sleeve weight", w_prime)
+    _require_each(np.isfinite(w_prime), "sleeve weight of stock {} is not finite")
     total = w_star + w_prime
     if np.any(total < -1e-12):
         bad = int(np.argmin(total))

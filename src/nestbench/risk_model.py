@@ -52,14 +52,16 @@ def fit_theta(
 
     ``series`` holds one row per unit, with ``series @ series.T`` the units'
     covariance and ``diag`` its diagonal; ``clusters`` maps each unit to its
-    cluster. Each cluster's value is the least-squares fit of its members'
-    off-diagonal correlations by an outer product of standardized loadings,
-    clamped into the band implied by ``cfg``. The clamp is applied as
+    cluster, and every index up to the largest must hold a member. Each
+    cluster's value is the least-squares fit of its members' off-diagonal
+    correlations by an outer product of standardized loadings, clamped into
+    the band implied by ``cfg``. The clamp is applied as
     min(max(. , lower), upper) so that when the bounds conflict the upper
     bound wins and specific variances stay positive. With u = b / d, the
     weighted off-diagonal sum is |sum_i u_i s_i|^2 - sum_i u_i^2 d_i, so no
     member block is formed. A single-member cluster has no off-diagonal
-    information and gets the minimal factor share consistent with z_max.
+    information and gets the minimal factor share consistent with z_max,
+    which is zero at z_max = 1.
     """
     b = np.asarray(loadings, dtype=float)
     d = np.asarray(diag, dtype=float)
@@ -68,8 +70,11 @@ def fit_theta(
         raise InvalidVariance("loadings must be finite and nonzero")
     if not np.all(d > 0.0) or not np.all(np.isfinite(d)):
         raise InvalidVariance("variances must be strictly positive and finite")
-    groups = cluster_members(clusters, int(clusters.max()) + 1)
-    k = len(groups)
+    counts = np.bincount(clusters)
+    k = len(counts)
+    if not counts.all():
+        raise InputError(f"cluster {int(np.argmin(counts))} of the cluster map has no members")
+    groups = cluster_members(clusters, k)
     b2 = b**2 / d  # squared standardized loadings, u_i^2 d_i
     t_min, t_max = _theta_bounds(b2, clusters, k, cfg)
     numer = -np.bincount(clusters, b2, minlength=k)
@@ -78,7 +83,7 @@ def fit_theta(
         if len(idx) > 1:
             w = np.einsum("i,ij->j", u[idx], series[idx])
             numer[a] += np.einsum("j,j->", w, w)
-    single = np.bincount(clusters, minlength=k) == 1
+    single = counts == 1
     denom = np.bincount(clusters, b2, minlength=k) ** 2 - np.bincount(clusters, b2**2, minlength=k)
     theta = np.minimum(np.maximum(numer / np.where(single, 1.0, denom), t_min), t_max)
     return np.where(single, np.bincount(clusters, (1.0 - cfg.z_max**2) * d / b**2, minlength=k), theta)
@@ -234,6 +239,9 @@ def build_russian_doll(
         if lvl > p:
             break
         fitted.append(g_fit)
+        if np.any(g_fit <= 0.0):  # only at z_max = 1: a singleton's fit, or one clamped to t_min, is 0
+            bad = tree.level_names[lvl - 1][int(np.argmax(g_fit <= 0.0))]
+            raise InvalidVariance(f"level-{lvl} cluster {bad!r} has zero fitted variance; set z_max below 1")
         # cluster series: member sums rescaled so their variances are the fits
         sums = np.stack([series[idx].sum(axis=0) for idx in tree.children(lvl)])
         agg_diag = np.einsum("ij,ij->i", sums, sums)

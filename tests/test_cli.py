@@ -12,6 +12,7 @@ import pytest
 
 from conftest import assert_no_child_left, blas_threads_env, past_one_upper_bound, returns_ranges
 
+import nestbench.cli
 import nestbench.overlay
 from nestbench.cli import main
 from nestbench.errors import MissingInputFile
@@ -479,6 +480,7 @@ class TestWeightsFile:
         inputs = ("--returns", str(fix / "returns.csv"), "--classification", str(fix / "classification.csv"))
         assert run("benchmark", *inputs, "--out", str(tmp_path / "b")) == 0
         rows = list(csv.reader((tmp_path / "b" / "weights.csv").read_text().splitlines()))
+        ticker = rows[2][0]  # every edit leaves this one's row at fault
         edit(rows)
         weights = _write_rows(tmp_path / "weights.csv", rows)
         signal = _write_signal(fix / "returns.csv", tmp_path / "e.csv", value="0.01")
@@ -486,7 +488,8 @@ class TestWeightsFile:
         code = run("overlay", *inputs, "--expected-returns", str(signal),
                    "--weights", str(weights), "--out", str(tmp_path / "o"))
         assert code == 2
-        assert str(weights) in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert str(weights) in err and repr(ticker) in err
         assert not (tmp_path / "o").exists()
 
     def test_blank_lines_header_case_and_extra_columns_are_read(self, tmp_path):
@@ -713,6 +716,59 @@ def test_non_finite_option_is_input_error(tmp_path, capsys, key, value):
                "--classification", str(fix / "classification.csv"), "--expected-returns", str(signal),
                *flags, "--out", str(tmp_path / "o")) == 2
     assert repr(key) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", [key for key, (_, default, _) in nestbench.cli._OPTIONS.items() if default is not None])
+def test_null_for_a_key_with_a_default_is_input_error(tmp_path, capsys, key):
+    command = next(command for command, (_, _, keys) in nestbench.cli._COMMANDS.items() if key in keys)
+    fix = _synth(tmp_path)
+    inputs = {"synth": [], "benchmark": ["--returns", str(fix / "returns.csv"),
+                                         "--classification", str(fix / "classification.csv")]}
+    inputs["overlay"] = [*inputs["benchmark"], "--expected-returns",
+                         str(_write_signal(fix / "returns.csv", tmp_path / "e.csv", jitter=0.01))]
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"out": str(tmp_path / "o"), key: None}))
+    capsys.readouterr()
+    assert run("--config", str(config), command, *inputs[command]) == 2
+    assert repr(key) in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("config, named", [
+    ({"upper_bounds": [0.01] * 23 + [-0.01]}, "stock 23 "),
+    ({"lower_bounds": [-0.01] * 23 + [0.01]}, "stock 23 "),
+    ({"lower_bounds": [-5.0] * 24}, "stock 0 "),
+    ({"weights": [0.05] * 4 + [-0.01] + [0.05] * 19}, "stock 4 "),
+    ({"band_z": 0.0, "lower_bounds": [-0.01] * 24}, "band"),
+    ({"band_z": -0.5, "lower_bounds": [-0.01] * 24}, "band"),
+], ids=["negative-upper", "positive-lower", "short-past-benchmark", "negative-weight", "zero-band", "negative-band"])
+def test_overlay_refusal_names_the_stock_or_band(tmp_path, capsys, config, named):
+    fix = _synth(tmp_path, n="24", t="50", clusters="6,2")
+    if "weights" in config:
+        tickers = [row[0] for row in _returns_rows(fix)[1:]]
+        weights = _write_rows(tmp_path / "w.csv", [["ticker", "weight"], *zip(tickers, config["weights"])])
+        config = {"weights": str(weights)}
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    signal = _write_signal(fix / "returns.csv", tmp_path / "e.csv", jitter=0.01)
+    capsys.readouterr()
+    assert run("--config", str(tmp_path / "cfg.json"), "overlay", "--returns", str(fix / "returns.csv"),
+               "--classification", str(fix / "classification.csv"), "--expected-returns", str(signal),
+               "--out", str(tmp_path / "o")) == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_zero_fitted_variance_names_the_cluster(tmp_path, capsys):
+    # at z_max = 1 a singleton's fitted variance (1 - z_max^2) d / b^2 is 0
+    fix = _synth(tmp_path, n="24", t="50", clusters="6,2")
+    rows = list(csv.reader((fix / "classification.csv").read_text().splitlines()))
+    rows[5][1] = "solo"
+    classification = _write_rows(tmp_path / "c.csv", rows)
+    capsys.readouterr()
+    assert run("benchmark", "--returns", str(fix / "returns.csv"), "--classification", str(classification),
+               "--z-max", "1.0", "--out", str(tmp_path / "o")) == 3
+    error = capsys.readouterr().err.splitlines()[-1]  # the line above warns of the singleton
+    assert error.startswith("error: ") and "level-1 cluster 'solo'" in error
 
 
 _MODEL_FLAGS = {"--returns", "--beta-mode", "--index-returns", "--beta-file", "--kappa-max", "--kappa-min",

@@ -664,6 +664,12 @@ class TestLoadClassification:
             load_classification_csv(path, panel)
         assert err.value.ticker == "B"
 
+    def test_repeated_ticker_names_the_file(self, tmp_path):
+        panel = self._panel(["A", "B"])
+        path = _write(tmp_path / "c.csv", "ticker,sub\nA,s1\nB,s1\nA,s2\n")
+        with pytest.raises(DuplicateTicker, match=re.escape(f"{path}: duplicate ticker 'A'")):
+            load_classification_csv(path, panel)
+
     def test_empty_label(self, tmp_path):
         panel = self._panel(["A", "B"])
         path = _write(tmp_path / "c.csv", "ticker,sub\nA,s1\nB,\n")

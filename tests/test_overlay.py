@@ -105,12 +105,15 @@ class TestBuildConstraints:
         np.testing.assert_allclose(q[:, 1], [0.5, 2.0], rtol=1e-15)
 
     def test_collinear_columns_rejected(self):
-        with pytest.raises(DegenerateConstraints):
-            build_constraints(
-                {"dollar-neutral", "zero-expected-correlation", "orthogonal-to-benchmark"},
-                DenseCovariance(np.eye(2)),
-                np.array([0.5, 0.5]),
-            )
+        # identity: two equal columns; diag(1, 4): three columns of rank 2, more than the 2 stocks
+        for cov in (np.eye(2), np.diag([1.0, 4.0])):
+            with pytest.raises(DegenerateConstraints):
+                make_overlay_problem(
+                    np.array([0.1, -0.1]),
+                    DenseCovariance(cov),
+                    np.array([0.5, 0.5]),
+                    modes={"dollar-neutral", "zero-expected-correlation", "orthogonal-to-benchmark"},
+                )
 
     def test_unknown_mode(self):
         with pytest.raises(InputError):
@@ -146,6 +149,28 @@ class TestProblemValidation:
             _problem([0.1, -0.1, 0.0], np.eye(3), upper=[0.1, 0.1, np.inf])
         with pytest.raises(InputError, match="band"):
             _problem([0.1, -0.1, 0.0], np.eye(3), band=np.inf)
+
+    def test_broken_rules_name_the_stock(self):
+        problem = _problem([0.1, -0.1, 0.0], np.eye(3))
+        for changes, stock in (
+            ({"upper": [0.1, 0.1, -0.1]}, 2),
+            ({"lower": [-0.1, 0.1, -0.1]}, 1),
+            ({"lower": [-0.1, -0.1, -0.5]}, 2),  # shorts more than w* = 1/3
+            ({"w_star": [0.6, -0.1, 0.5]}, 1),
+        ):
+            with pytest.raises(InputError, match=f"stock {stock} "):
+                dataclasses.replace(problem, **changes)
+        with pytest.raises(InputError, match="stock 2 "):
+            _problem([0.1, -0.1, 0.0], np.eye(3), w_star=[0.6, 0.5, -0.1])
+
+    @pytest.mark.parametrize("band", [0.0, -0.5, np.nan])
+    def test_band_checked_whenever_it_fills_a_bound(self, band):
+        box = np.full(3, 0.1)
+        for bounds in ({}, {"lower": -box}, {"upper": box}):
+            with pytest.raises(InputError, match="band"):
+                _problem([0.1, -0.1, 0.0], np.eye(3), band=band, **bounds)
+        problem = _problem([0.1, -0.1, 0.0], np.eye(3), band=band, lower=-box, upper=box)
+        np.testing.assert_array_equal(problem.upper, box)
 
 
 class TestOptimizeMvo:

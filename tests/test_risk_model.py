@@ -68,6 +68,11 @@ class TestFitTheta:
         with pytest.raises(InvalidVariance):
             fit_block(np.eye(2), np.array([1.0, 0.0]))
 
+    def test_gapped_cluster_map_names_the_empty_cluster(self):
+        series = np.array([[1.0, 0.0], [0.9, 0.1], [0.0, 1.0], [0.1, 0.9]])
+        with pytest.raises(InputError, match="cluster 1 "):
+            fit_theta(series, np.ones(4), np.ones(4), np.array([0, 0, 2, 2]))
+
     def test_config_validation(self):
         with pytest.raises(InputError):
             ThetaFitConfig(z_min=0.9, z_max=0.1)
