@@ -197,7 +197,7 @@ def _build_model(cfg: dict):
     beta = _resolve_beta(cfg, panel)
     theta_cfg = ThetaFitConfig(z_min=cfg["z_min"], z_max=cfg["z_max"])
     model = build_russian_doll(panel, tree, beta, mkt_fac=cfg["mkt_fac"], cfg=theta_cfg)
-    return panel, tree, model
+    return panel, model
 
 
 def _resolve_beta(cfg: dict, panel):
@@ -242,7 +242,7 @@ def _load_ticker_values(path, panel, column: str) -> np.ndarray:
 
 
 def cmd_benchmark(cfg: dict) -> int:
-    panel, tree, model = _build_model(cfg)
+    panel, model = _build_model(cfg)
     result = benchmark_weights(model)
     if cfg["weight_scale"] == "sum":
         result = _rescale_to_unit_sum(result)
@@ -253,15 +253,15 @@ def cmd_benchmark(cfg: dict) -> int:
         "sigma_f2": result.sigma_f2,
         "n_stocks": panel.n_stocks,
         "n_periods": panel.n_periods,
-        "n_levels": tree.n_levels,
-        "cluster_counts": list(tree.cluster_counts),
+        "n_levels": model.tree.n_levels,
+        "cluster_counts": list(model.tree.cluster_counts),
         "min_weight": float(result.weights.min()),
         "max_weight": float(result.weights.max()),
         "config": cfg,
     }
     write_json(os.path.join(outdir, "benchmark.json"), sidecar)
     print(
-        f"benchmark: N={panel.n_stocks} P={tree.n_levels} K={tree.cluster_counts} "
+        f"benchmark: N={panel.n_stocks} P={model.tree.n_levels} K={model.tree.cluster_counts} "
         f"sigma_F2={result.sigma_f2:.6g} weights in [{result.weights.min():.6g}, "
         f"{result.weights.max():.6g}]"
     )
@@ -270,7 +270,7 @@ def cmd_benchmark(cfg: dict) -> int:
 
 def cmd_overlay(cfg: dict) -> int:
     modes = _modes(cfg["constraints"])
-    panel, tree, model = _build_model(cfg)
+    panel, model = _build_model(cfg)
     if cfg.get("weights"):
         w_star = _load_in_order(cfg["weights"], ("ticker", "weight"), panel.tickers)
     else:

@@ -125,11 +125,6 @@ class ClassificationTree:
         """K per level, most granular first."""
         return tuple(len(names) for names in self.level_names)
 
-    def children(self, level: int) -> list[np.ndarray]:
-        """Member indices of each level-``level`` cluster; members are units
-        of the level below (stocks for level 1)."""
-        return cluster_members(self.parent_maps[level - 1], self.cluster_counts[level - 1])
-
     def stock_clusters(self, level: int) -> np.ndarray:
         """Composed map: stock index -> level-``level`` cluster index."""
         m = self.parent_maps[0]
@@ -184,9 +179,9 @@ def load_returns_csv(path: str | os.PathLike) -> ReturnsPanel:
     number of ranges. Lines holding only a line end are skipped wherever they
     stand. A file that parser does not take whole (quoted labels, ragged
     rows, a cell holding anything but digits, signs, a dot or an exponent, a
-    malformed number) is parsed again cell by cell, so every file loads, or
-    fails naming its first bad cell, exactly as the per-cell parse alone
-    would have it.
+    malformed number), or whose tickers or dates repeat, is parsed again cell
+    by cell, so every file loads, or fails naming its first bad cell or
+    repeated label, exactly as the per-cell parse alone would have it.
     """
     tickers: list[str] = []
     try:
@@ -200,7 +195,7 @@ def load_returns_csv(path: str | os.PathLike) -> ReturnsPanel:
             values = _parse_ranges(path, handle, data, len(dates), tickers)
     except (OSError, ValueError):  # ValueError includes UnicodeDecodeError
         return _load_returns_slowly(path)
-    if min(values.shape) < 2:
+    if min(values.shape) < 2 or _first_repeat(tickers) is not None or _first_repeat(dates) is not None:
         return _load_returns_slowly(path)
     return ReturnsPanel(tuple(tickers), dates, values)
 
@@ -528,6 +523,11 @@ def _load_returns_slowly(path) -> ReturnsPanel:
                 values[r, c] = float(cell)
             except ValueError:
                 raise NonNumericCell(r + 1, c + 1, cell) from None
+    # ReturnsPanel refuses repeats too, but cannot name the file
+    if (tic := _first_repeat(tickers)) is not None:
+        raise DuplicateTicker(tic, path)
+    if (date := _first_repeat(dates)) is not None:
+        raise InputError(f"{path}: duplicate date label: {date!r}")
     return ReturnsPanel(tuple(tickers), dates, values)
 
 
@@ -611,12 +611,11 @@ def validate_tree(tree: ClassificationTree, panel: ReturnsPanel) -> list[Singlet
         if missing:
             raise UnmappedStock(sorted(missing)[0])
         raise InputError("tree and panel tickers differ (order or extras)")
-    warnings: list[SingletonCluster] = []
-    for lvl in range(1, tree.n_levels + 1):
-        for a, members in enumerate(tree.children(lvl)):
-            if len(members) == 1:
-                warnings.append(SingletonCluster(lvl, tree.level_names[lvl - 1][a]))
-    return warnings
+    return [
+        SingletonCluster(lvl, tree.level_names[lvl - 1][a])
+        for lvl, clusters in enumerate(tree.parent_maps, start=1)
+        for a in np.flatnonzero(np.bincount(clusters) == 1)
+    ]
 
 
 def read_keyed_csv(path, header: tuple[str, str]) -> list[tuple[str, float]]:

@@ -1,7 +1,7 @@
 """Exception types used across the package.
 
 The three bases group failures by who can fix them: bad inputs (files,
-configs, shapes), numerical preconditions of the model construction, and
+settings, shapes), numerical preconditions of the model construction, and
 an optimizer that does not converge or whose solution fails its optimality
 certificate. The CLI maps them to exit codes 2, 3 and 4.
 """
@@ -111,9 +111,9 @@ class DegenerateConstraints(InputError):
 class LongOnlyViolation(ModelError):
     """A combined weight went negative; bounds were misconfigured."""
 
-    def __init__(self, index, value):
-        super().__init__(f"combined weight {index} is negative: {value}")
-        self.index = index
+    def __init__(self, ticker, value):
+        super().__init__(f"combined weight of {ticker!r} is negative: {value}")
+        self.ticker = ticker
         self.value = value
 
 

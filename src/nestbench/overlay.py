@@ -76,12 +76,13 @@ class OverlayProblem:
             raise InputError(f"constraint matrix has shape {q.shape}, expected ({n}, p)")
         for name, arr in (("expected return", e), ("benchmark weight", w_star),
                           ("lower bound", lower), ("upper bound", upper)):
-            _require_each(np.isfinite(arr), name + " of stock {} is not finite")
-        _require_each(w_star > 0.0, "benchmark weight of stock {} is not strictly positive")
+            _require_each(np.isfinite(arr), name + " of stock {!r} is not finite", self.model)
+        _require_each(w_star > 0.0, "benchmark weight of stock {!r} is not strictly positive", self.model)
         if abs(w_star.sum() - 1.0) > 1e-8:
             raise InputError("benchmark weights must sum to 1 (renormalize first)")
-        _require_each((lower <= 0.0) & (upper >= 0.0), "bounds of stock {} break lower <= 0 <= upper")
-        _require_each(lower >= -w_star - 1e-12, "lower bound of stock {} is below minus its benchmark weight")
+        _require_each((lower <= 0.0) & (upper >= 0.0), "bounds of stock {!r} break lower <= 0 <= upper", self.model)
+        _require_each(lower >= -w_star - 1e-12, "lower bound of stock {!r} is below minus its benchmark weight",
+                      self.model)
         if not np.allclose(q[:, 0], 1.0):
             raise InputError("first constraint column must be the unit vector (dollar neutrality)")
         svals = np.linalg.svd(q, compute_uv=False)
@@ -120,8 +121,6 @@ class KKTReport:
 class CombinedPortfolio:
     weights: np.ndarray
     rho: float | None
-    sigma_star: float
-    sigma_prime: float
 
 
 @dataclass(frozen=True)
@@ -131,7 +130,6 @@ class OverlayResult:
     w_prime: np.ndarray
     gamma_prime: float
     combined: np.ndarray
-    sharpe_curve: tuple[tuple[float, float], ...]
     sharpe_zero: float
     sharpe_opt: float
     rho: float | None
@@ -141,12 +139,12 @@ class OverlayResult:
     eq_residual: float
 
 
-def _require_each(ok: np.ndarray, message: str) -> None:
-    """Raise ``InputError`` with ``message`` naming the first stock where the
-    per-stock rule ``ok`` fails."""
+def _require_each(ok: np.ndarray, message: str, model: RussianDollModel) -> None:
+    """Raise ``InputError`` with ``message`` naming the ticker of the first
+    stock of ``model`` where the per-stock rule ``ok`` fails."""
     broken = np.flatnonzero(~ok)
     if broken.size:
-        raise InputError(message.format(int(broken[0])))
+        raise InputError(message.format(model.tree.tickers[broken[0]]))
 
 
 def check_modes(modes) -> None:
@@ -184,9 +182,11 @@ def make_overlay_problem(
     """Normalize the benchmark, default the bounds to a percentage band of
     it, assemble constraints, and validate the lot."""
     w = np.asarray(w_star, dtype=float)
+    if w.shape != (model.n_stocks,):
+        raise InputError(f"w_star has shape {w.shape}, expected {(model.n_stocks,)}")
     # checked before normalizing, which spreads a NaN and makes all-negative weights positive
-    _require_each(np.isfinite(w), "benchmark weight of stock {} is not finite")
-    _require_each(w > 0.0, "benchmark weight of stock {} is not strictly positive")
+    _require_each(np.isfinite(w), "benchmark weight of stock {!r} is not finite", model)
+    _require_each(w > 0.0, "benchmark weight of stock {!r} is not strictly positive", model)
     w = w / w.sum()
     if (lower is None or upper is None) and not 0.0 < band < math.inf:
         raise InputError(f"band must be positive and finite, got {band}")
@@ -525,12 +525,10 @@ def tune_gamma(
     )
     if not report.ok:
         raise SolverError(f"the tuned sleeve fails its KKT check: {report.worst}")
-    curve = tuple(sorted([(0.0, sharpe_zero)] + [(g, s) for g, (_, s) in cache.items()]))
     return OverlayResult(
         w_prime=w_opt,
         gamma_prime=gamma_opt,
         combined=combined.weights,
-        sharpe_curve=curve,
         sharpe_zero=sharpe_zero,
         sharpe_opt=sharpe_opt,
         rho=combined.rho,
@@ -549,16 +547,16 @@ def combine(w_star: np.ndarray, w_prime: np.ndarray, model: RussianDollModel) ->
     """
     w_star = np.asarray(w_star, dtype=float)
     w_prime = np.asarray(w_prime, dtype=float)
-    _require_each(np.isfinite(w_prime), "sleeve weight of stock {} is not finite")
+    _require_each(np.isfinite(w_prime), "sleeve weight of stock {!r} is not finite", model)
     total = w_star + w_prime
     if np.any(total < -1e-12):
         bad = int(np.argmin(total))
-        raise LongOnlyViolation(bad, float(total[bad]))
+        raise LongOnlyViolation(model.tree.tickers[bad], float(total[bad]))
     if abs(total.sum() - w_star.sum()) > 1e-10 * max(1.0, abs(w_star.sum())):
         raise InputError("sleeve is not dollar-neutral: combined scale drifted")
     total = np.maximum(total, 0.0)
     gw_star = model.matvec(w_star)
-    sigma_star = math.sqrt(_dot(w_star, gw_star))
-    sigma_prime = math.sqrt(max(_dot(w_prime, model.matvec(w_prime)), 0.0))
-    rho = None if sigma_prime == 0.0 else float(_dot(w_prime, gw_star)) / (sigma_star * sigma_prime)
-    return CombinedPortfolio(total, rho, sigma_star, sigma_prime)
+    vol_star = math.sqrt(_dot(w_star, gw_star))
+    vol_prime = math.sqrt(max(_dot(w_prime, model.matvec(w_prime)), 0.0))
+    rho = None if vol_prime == 0.0 else float(_dot(w_prime, gw_star)) / (vol_star * vol_prime)
+    return CombinedPortfolio(total, rho)

@@ -15,7 +15,7 @@ covariance as a plain array for the tests and the benchmark's tracer only;
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -117,7 +117,7 @@ class RussianDollModel:
     top_var: float
     fitted_cluster_var: tuple[np.ndarray, ...]
     mkt_fac: bool
-    configs: tuple[ThetaFitConfig, ...] = field(repr=False)
+    cfg: ThetaFitConfig = ThetaFitConfig()
 
     def __post_init__(self):
         xi2 = np.array(self.xi2, dtype=float)
@@ -243,7 +243,7 @@ def build_russian_doll(
             bad = tree.level_names[lvl - 1][int(np.argmax(g_fit <= 0.0))]
             raise InvalidVariance(f"level-{lvl} cluster {bad!r} has zero fitted variance; set z_max below 1")
         # cluster series: member sums rescaled so their variances are the fits
-        sums = np.stack([series[idx].sum(axis=0) for idx in tree.children(lvl)])
+        sums = np.stack([series[idx].sum(axis=0) for idx in cluster_members(clusters, len(g_fit))])
         agg_diag = np.einsum("ij,ij->i", sums, sums)
         if np.any(agg_diag <= 0.0):
             bad = tree.level_names[lvl - 1][int(np.argmax(agg_diag <= 0.0))]
@@ -260,7 +260,7 @@ def build_russian_doll(
         top_var=float(g_fit[0]),
         fitted_cluster_var=tuple(fitted),
         mkt_fac=mkt_fac,
-        configs=(cfg,) * (p + 1),
+        cfg=cfg,
     )
 
 
@@ -344,7 +344,7 @@ def model_to_dict(model: RussianDollModel) -> dict:
         "top_var": model.top_var,
         "fitted_cluster_var": [g.tolist() for g in model.fitted_cluster_var],
         "mkt_fac": model.mkt_fac,
-        "configs": [{"z_min": c.z_min, "z_max": c.z_max} for c in model.configs],
+        "configs": [{"z_min": model.cfg.z_min, "z_max": model.cfg.z_max}] * (tree.n_levels + 1),
     }
 
 
@@ -353,6 +353,9 @@ def model_from_dict(data: dict) -> RussianDollModel:
     the former per-level cluster loadings ``chi``, which were always 1."""
     if any(float(c) != 1.0 for c in data.get("chi", ())):
         raise InputError(f"cluster loadings chi must all be 1, got {data['chi']}")
+    bands = {(c["z_min"], c["z_max"]) for c in data["configs"]}
+    if len(bands) != 1:
+        raise InputError(f"configs must repeat one band (z_min, z_max), got {data['configs']}")
     tickers = tuple(data["tickers"])
     tree = ClassificationTree(
         tickers,
@@ -367,7 +370,7 @@ def model_from_dict(data: dict) -> RussianDollModel:
         top_var=float(data["top_var"]),
         fitted_cluster_var=tuple(np.asarray(g, dtype=float) for g in data["fitted_cluster_var"]),
         mkt_fac=bool(data["mkt_fac"]),
-        configs=tuple(ThetaFitConfig(c["z_min"], c["z_max"]) for c in data["configs"]),
+        cfg=ThetaFitConfig(*bands.pop()),
     )
 
 

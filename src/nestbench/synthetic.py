@@ -16,7 +16,7 @@ import numpy as np
 
 from .data_model import BetaVector, ClassificationTree, ReturnsPanel, tree_from_labels
 from .errors import InputError
-from .risk_model import RussianDollModel, ThetaFitConfig
+from .risk_model import RussianDollModel
 
 # Stock volatilities are log-normal with these parameters.
 VOL_LOG_MEAN = -3.9
@@ -106,7 +106,6 @@ def generate(spec: SyntheticSpec) -> SyntheticInstance:
         top_var=spec.market_rho,
         fitted_cluster_var=tuple(np.full(k, ladder[lvl]) for lvl, k in enumerate(spec.clusters)),
         mkt_fac=spec.market_rho > 0.0,
-        configs=(ThetaFitConfig(),) * (p + 1),
     )
     return SyntheticInstance(panel, tree, model)
 

@@ -9,6 +9,7 @@ without the package on the path.
 """
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -134,10 +135,12 @@ def fit_block(block, loadings, cfg=ThetaFitConfig()) -> float:
 
 class DenseCovariance:
     """An explicit covariance behind the nested model's ``matvec`` and
-    ``solve`` interface, so the overlay runs on hand-written matrices."""
+    ``solve`` interface, so the overlay runs on hand-written matrices. Its
+    ``tree`` labels stock i as ``S<i>``, so refusals name a ticker."""
 
     def __init__(self, matrix):
         self.matrix = np.asarray(matrix, dtype=float)
+        self.tree = SimpleNamespace(tickers=tuple(f"S{i}" for i in range(len(self.matrix))))
 
     @property
     def n_stocks(self) -> int:

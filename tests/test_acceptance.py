@@ -39,6 +39,7 @@ from nestbench import (
     tune_gamma,
 )
 from nestbench.cli import main as cli_main
+from nestbench.data_model import cluster_members
 from nestbench.risk_model import assemble_dense, sample_covariance
 
 N_INSTANCES = 110
@@ -140,12 +141,11 @@ def test_criterion_4_closed_form_reductions():
         tree=tree2, beta=BetaVector(tickers, beta2), xi2=xi2, zeta2=(z1, z2),
         top_var=omega2,
         fitted_cluster_var=(np.ones(4), np.ones(2)), mkt_fac=True,
-        configs=(ThetaFitConfig(),) * 3,
     )
     gamma = benchmark_weights(model2).gamma
-    lam = np.array([np.sum(beta2[idx] ** 2 / xi2[idx]) for idx in tree2.children(1)])
+    lam = np.array([np.sum(beta2[idx] ** 2 / xi2[idx]) for idx in cluster_members(tree2.parent_maps[0], 4)])
     shrunk = lam / (1.0 + z1 * lam)
-    lam2 = np.array([shrunk[idx].sum() for idx in tree2.children(2)])
+    lam2 = np.array([shrunk[idx].sum() for idx in cluster_members(tree2.parent_maps[1], 2)])
     tau = omega2 * np.sum(lam2 / (1.0 + z2 * lam2))
     parent = tree2.parent_maps[1]
     expected_gamma = 1.0 / ((1.0 + z1 * lam) * (1.0 + z2[parent] * lam2[parent]) * (1.0 + tau))
@@ -294,7 +294,7 @@ def test_criterion_6_reference_parity():
     model2 = build_russian_doll(panel2, tree2, beta2, mkt_fac=True)
     cfg = ThetaFitConfig()
     clamp_seen = False
-    for sector, subs in enumerate(tree2.children(2)):
+    for sector, subs in enumerate(cluster_members(tree2.parent_maps[1], tree2.cluster_counts[1])):
         fitted = model2.fitted_cluster_var[0][subs]
         t_min = (1.0 - cfg.z_max**2) * fitted.max()
         t_max = (1.0 - cfg.z_min**2) * fitted.min()

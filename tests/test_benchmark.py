@@ -12,14 +12,13 @@ from nestbench import (
     BetaVector,
     ReturnsPanel,
     RussianDollModel,
-    ThetaFitConfig,
     benchmark_weights,
     build_russian_doll,
     make_betas,
     tree_from_labels,
 )
 from nestbench.benchmark import _median, write_weights_csv
-from nestbench.data_model import read_keyed_csv
+from nestbench.data_model import cluster_members, read_keyed_csv
 from nestbench.errors import InputError, InvalidBeta, SingularCovariance
 from nestbench.risk_model import assemble_dense
 
@@ -116,13 +115,12 @@ class TestBenchmarkWeights:
             top_var=float(omega2),
             fitted_cluster_var=(np.ones(4), np.ones(2)),
             mkt_fac=True,
-            configs=(ThetaFitConfig(),) * 3,
         )
         gamma = benchmark_weights(model).gamma
 
-        lam = np.array([np.sum(beta[idx] ** 2 / xi2[idx]) for idx in tree.children(1)])
+        lam = np.array([np.sum(beta[idx] ** 2 / xi2[idx]) for idx in cluster_members(tree.parent_maps[0], 4)])
         shrunk1 = lam / (1.0 + z1 * lam)
-        lam2 = np.array([shrunk1[idx].sum() for idx in tree.children(2)])
+        lam2 = np.array([shrunk1[idx].sum() for idx in cluster_members(tree.parent_maps[1], 2)])
         tau = omega2 * np.sum(lam2 / (1.0 + z2 * lam2))
         parent = tree.parent_maps[1]
         expected = 1.0 / ((1.0 + z1 * lam) * (1.0 + z2[parent] * lam2[parent]) * (1.0 + tau))

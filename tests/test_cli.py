@@ -16,7 +16,7 @@ import nestbench.cli
 import nestbench.overlay
 from nestbench.cli import main
 from nestbench.errors import MissingInputFile
-from nestbench.risk_model import load_model, save_model
+from nestbench.risk_model import ThetaFitConfig, load_model, save_model
 
 
 def run(*argv):
@@ -533,6 +533,20 @@ class TestWeightsFile:
         assert b"\xef\xbb\xbf" + _read(tmp_path / "again.json") == _read(model)
 
 
+def test_model_json_repeats_one_band(tmp_path):
+    # model.json keeps one configs entry per level and one for the market,
+    # all equal, and a model read from it writes the same bytes
+    fix = _synth(tmp_path)
+    assert run("benchmark", "--returns", str(fix / "returns.csv"), "--classification",
+               str(fix / "classification.csv"), "--z-min", "0.2", "--z-max", "0.85", "--out", str(tmp_path / "b")) == 0
+    path = tmp_path / "b" / "model.json"
+    assert json.loads(_read(path))["configs"] == [{"z_min": 0.2, "z_max": 0.85}] * 3
+    model = load_model(path)
+    assert model.cfg == ThetaFitConfig(0.2, 0.85)
+    save_model(model, tmp_path / "again.json")
+    assert _read(tmp_path / "again.json") == _read(path)
+
+
 def test_load_model_missing_file(tmp_path):
     with pytest.raises(MissingInputFile):
         load_model(tmp_path / "absent.json")
@@ -735,10 +749,10 @@ def test_null_for_a_key_with_a_default_is_input_error(tmp_path, capsys, key):
 
 
 @pytest.mark.parametrize("config, named", [
-    ({"upper_bounds": [0.01] * 23 + [-0.01]}, "stock 23 "),
-    ({"lower_bounds": [-0.01] * 23 + [0.01]}, "stock 23 "),
-    ({"lower_bounds": [-5.0] * 24}, "stock 0 "),
-    ({"weights": [0.05] * 4 + [-0.01] + [0.05] * 19}, "stock 4 "),
+    ({"upper_bounds": [0.01] * 23 + [-0.01]}, "stock 'S0024' "),
+    ({"lower_bounds": [-0.01] * 23 + [0.01]}, "stock 'S0024' "),
+    ({"lower_bounds": [-5.0] * 24}, "stock 'S0001' "),
+    ({"weights": [0.05] * 4 + [-0.01] + [0.05] * 19}, "stock 'S0005' "),
     ({"band_z": 0.0, "lower_bounds": [-0.01] * 24}, "band"),
     ({"band_z": -0.5, "lower_bounds": [-0.01] * 24}, "band"),
 ], ids=["negative-upper", "positive-lower", "short-past-benchmark", "negative-weight", "zero-band", "negative-band"])

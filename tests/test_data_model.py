@@ -151,8 +151,15 @@ class TestLoadReturns:
 
     def test_duplicate_date_is_named(self, tmp_path):
         path = _write(tmp_path / "r.csv", "ticker,d1,d2,d3,d2,d1\nA,0.1,0.2,0.3,0.4,0.5\nB,0,0,0,0,0\n")
-        with pytest.raises(InputError, match=re.escape("duplicate date label: 'd2'")):
-            load_returns_csv(path)
+        for load in (load_returns_csv, _load_returns_slowly):
+            with pytest.raises(InputError, match=re.escape(f"{path}: duplicate date label: 'd2'")):
+                load(path)
+
+    def test_duplicate_ticker_names_the_file(self, tmp_path):
+        path = _write(tmp_path / "r.csv", "ticker,d1,d2\nA,0.01,0.02\nB,0,0\nA,0.0,0.0\n")
+        for load in (load_returns_csv, _load_returns_slowly):
+            with pytest.raises(DuplicateTicker, match=re.escape(f"{path}: duplicate ticker 'A'")):
+                load(path)
 
     def test_non_numeric_cell(self, tmp_path):
         path = _write(tmp_path / "r.csv", "ticker,d1,d2\nA,0.01,abc\nB,0.0,0.0\n")

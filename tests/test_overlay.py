@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -135,17 +136,17 @@ class TestProblemValidation:
         problem = _problem([0.1, -0.1, 0.0], np.eye(3))
         nan = float("nan")
         for changes, stock in (
-            ({"expected_returns": [0.1, nan, 0.0]}, 1),
-            ({"w_star": [0.5, 0.5, np.inf]}, 2),
-            ({"lower": [nan, -0.1, -0.1]}, 0),
-            ({"upper": [0.1, 0.1, nan]}, 2),
-            ({"upper": [0.1, np.inf, 0.1]}, 1),
+            ({"expected_returns": [0.1, nan, 0.0]}, "S1"),
+            ({"w_star": [0.5, 0.5, np.inf]}, "S2"),
+            ({"lower": [nan, -0.1, -0.1]}, "S0"),
+            ({"upper": [0.1, 0.1, nan]}, "S2"),
+            ({"upper": [0.1, np.inf, 0.1]}, "S1"),
         ):
-            with pytest.raises(InputError, match=f"stock {stock} "):
+            with pytest.raises(InputError, match=f"stock '{stock}' "):
                 dataclasses.replace(problem, **changes)
-        with pytest.raises(InputError, match="stock 1 "):
+        with pytest.raises(InputError, match="stock 'S1' "):
             _problem([0.1, -0.1, 0.0], np.eye(3), w_star=[0.5, nan, 0.5])
-        with pytest.raises(InputError, match="stock 2 "):
+        with pytest.raises(InputError, match="stock 'S2' "):
             _problem([0.1, -0.1, 0.0], np.eye(3), upper=[0.1, 0.1, np.inf])
         with pytest.raises(InputError, match="band"):
             _problem([0.1, -0.1, 0.0], np.eye(3), band=np.inf)
@@ -153,15 +154,21 @@ class TestProblemValidation:
     def test_broken_rules_name_the_stock(self):
         problem = _problem([0.1, -0.1, 0.0], np.eye(3))
         for changes, stock in (
-            ({"upper": [0.1, 0.1, -0.1]}, 2),
-            ({"lower": [-0.1, 0.1, -0.1]}, 1),
-            ({"lower": [-0.1, -0.1, -0.5]}, 2),  # shorts more than w* = 1/3
-            ({"w_star": [0.6, -0.1, 0.5]}, 1),
+            ({"upper": [0.1, 0.1, -0.1]}, "S2"),
+            ({"lower": [-0.1, 0.1, -0.1]}, "S1"),
+            ({"lower": [-0.1, -0.1, -0.5]}, "S2"),  # shorts more than w* = 1/3
+            ({"w_star": [0.6, -0.1, 0.5]}, "S1"),
         ):
-            with pytest.raises(InputError, match=f"stock {stock} "):
+            with pytest.raises(InputError, match=f"stock '{stock}' "):
                 dataclasses.replace(problem, **changes)
-        with pytest.raises(InputError, match="stock 2 "):
+        with pytest.raises(InputError, match="stock 'S2' "):
             _problem([0.1, -0.1, 0.0], np.eye(3), w_star=[0.6, 0.5, -0.1])
+
+    def test_benchmark_of_another_length_refused(self):
+        # before the zero-correlation column multiplies it by the model
+        for modes in (("dollar-neutral",), ("dollar-neutral", "zero-expected-correlation")):
+            with pytest.raises(InputError, match=re.escape("w_star has shape (4,), expected (3,)")):
+                _problem([0.1, -0.1, 0.0], np.eye(3), w_star=[0.25, 0.25, 0.25, np.nan], modes=modes)
 
     @pytest.mark.parametrize("band", [0.0, -0.5, np.nan])
     def test_band_checked_whenever_it_fills_a_bound(self, band):
@@ -401,6 +408,20 @@ def _counting_kkt(monkeypatch):
     return calls
 
 
+def _recording_probes(monkeypatch, solve=optimize_mvo):
+    """Have ``tune_gamma`` probe through ``solve`` and record each probe's
+    (gamma', S) pair, in the order of the probes."""
+    probes = []
+
+    def recorded(problem, gamma, start=None):
+        w = solve(problem, gamma, start)
+        probes.append((gamma, sharpe_ratio(problem, w)))
+        return w
+
+    monkeypatch.setattr(nestbench.overlay, "optimize_mvo", recorded)
+    return probes
+
+
 class TestTuneGamma:
     def _binding_fixture(self):
         cov = np.array(
@@ -485,10 +506,10 @@ class TestTuneGamma:
                                            modes=("dollar-neutral", "zero-expected-correlation"))
             with monkeypatch.context() as patch:
                 calls = _counting_kkt(patch)
+                probes = _recording_probes(patch)
                 result = tune_gamma(problem)
-            probes = len(result.sharpe_curve) - 1
             assert len(result.active_lower) + len(result.active_upper) > 0.9 * n
-            assert len(calls) <= 12 * probes, (n, len(calls), probes)
+            assert len(calls) <= 12 * len(probes), (n, len(calls), len(probes))
 
     def test_warm_probes_equal_cold_probes_in_fewer_steps(self, monkeypatch):
         # small, strongly coupled instances on which cold primal-dual steps
@@ -501,32 +522,33 @@ class TestTuneGamma:
             problem = make_overlay_problem(signal, model, benchmark_weights(model).weights,
                                            modes=("dollar-neutral", "zero-expected-correlation"))
             with monkeypatch.context() as patch:
-                patch.setattr(nestbench.overlay, "optimize_mvo",
-                              lambda problem, gamma, start=None: cold(problem, gamma))
+                unwarmed_probes = _recording_probes(patch, lambda problem, gamma, start=None: cold(problem, gamma))
                 unwarmed = tune_gamma(problem)
             with monkeypatch.context() as patch:
                 calls = _counting_kkt(patch)
+                probes = _recording_probes(patch)
                 result = tune_gamma(problem)
             assert result.gamma_prime == unwarmed.gamma_prime
-            assert result.sharpe_curve == unwarmed.sharpe_curve
+            assert probes == unwarmed_probes
             assert result.active_lower == unwarmed.active_lower
             assert result.active_upper == unwarmed.active_upper
             np.testing.assert_array_equal(result.w_prime, unwarmed.w_prime)
-            probes = len(result.sharpe_curve) - 1
-            assert len(calls) <= 3 * probes, (seed, len(calls), probes)
+            assert len(calls) <= 3 * len(probes), (seed, len(calls), len(probes))
 
-    def test_zero_signal_stays_finite_under_correlation_constraint(self):
+    def test_zero_signal_stays_finite_under_correlation_constraint(self, monkeypatch):
         # the bracket must not shrink toward gamma' = 0, where the curvature
         # 2 / gamma' overflows
         modes = ("dollar-neutral", "zero-expected-correlation")
         for seed in range(3):
             base, _ = random_overlay_problem(seed, n_range=(10, 12), modes=modes)
             problem = make_overlay_problem(np.zeros(base.n_stocks), base.model, base.w_star, modes=modes)
-            result = tune_gamma(problem)
+            with monkeypatch.context() as patch:
+                probes = _recording_probes(patch)
+                result = tune_gamma(problem)
             np.testing.assert_array_equal(result.w_prime, 0.0)
             assert result.sharpe_opt == 0.0
             assert 0.0 < result.gamma_prime < 1.0
-            assert len(result.sharpe_curve) <= 25
+            assert len(probes) <= 24
 
     def test_sleeve_that_fails_its_certificate_raises(self, monkeypatch):
         problem = self._binding_fixture()
@@ -553,7 +575,6 @@ class TestCombine:
     def test_hand_orthogonal_sleeve(self):
         out = combine(np.array([0.5, 0.5]), np.array([0.1, -0.1]), DenseCovariance(np.eye(2)))
         assert out.rho == pytest.approx(0.0, abs=1e-15)
-        assert out.sigma_prime == pytest.approx(0.1 * np.sqrt(2.0), rel=1e-15)
 
     def test_percentage_band_keeps_long_only(self):
         # any dollar-neutral sleeve inside +/- z * w_star leaves at least
@@ -569,7 +590,7 @@ class TestCombine:
         assert np.all(out.weights >= (1.0 - z) * w_star - 1e-12)
 
     def test_long_only_violation(self):
-        with pytest.raises(LongOnlyViolation):
+        with pytest.raises(LongOnlyViolation, match="combined weight of 'S0' is negative"):
             combine(np.array([0.5, 0.5]), np.array([-0.6, 0.6]), DenseCovariance(np.eye(2)))
 
     def test_scale_drift_detected(self):
@@ -577,7 +598,7 @@ class TestCombine:
             combine(np.array([0.5, 0.5]), np.array([0.2, 0.2]), DenseCovariance(np.eye(2)))
 
     def test_non_finite_sleeve_rejected(self):
-        with pytest.raises(InputError, match="stock 1 "):
+        with pytest.raises(InputError, match="stock 'S1' "):
             combine(np.full(3, 1.0 / 3.0), np.array([0.1, np.nan, -0.1]), DenseCovariance(np.eye(3)))
 
 

@@ -235,7 +235,6 @@ class TestAssembleDense:
             top_var=top_var,
             fitted_cluster_var=tuple(np.ones(k) for k in tree.cluster_counts),
             mkt_fac=top_var > 0,
-            configs=(DEFAULT,) * (tree.n_levels + 1),
         )
 
     def test_zero_factor_risk_gives_diagonal(self):
@@ -341,7 +340,6 @@ class TestNestedPrimitive:
             top_var=0.0 if zero_top else float(rng.uniform(0.0, 2.0)),
             fitted_cluster_var=tuple(np.ones(k) for k in sizes[1:]),
             mkt_fac=not zero_top,
-            configs=(DEFAULT,) * (levels + 1),
         )
         _assert_matches_dense(model, rng.normal(size=n), _masks(model, rng))
 
@@ -360,7 +358,6 @@ class TestNestedPrimitive:
             top_var=0.3,
             fitted_cluster_var=(np.ones(200), np.ones(20)),
             mkt_fac=True,
-            configs=(DEFAULT,) * 3,
         )
         w_star = benchmark_weights(model).weights
         signal = rng.normal(0.0, 1.0, n)
@@ -414,9 +411,18 @@ class TestSerialization:
         assert "chi" not in data
         data["chi"] = [1.0] * inst.tree.n_levels
         back = model_from_dict(data)
+        assert back.cfg == inst.model.cfg
         np.testing.assert_array_equal(
             assemble_dense(back), assemble_dense(inst.model)
         )
+
+    def test_rejects_two_bands(self):
+        inst = random_instance(7, n_range=(8, 20), p_range=(2, 3))
+        data = model_to_dict(inst.model)
+        assert data["configs"] == [{"z_min": 0.1, "z_max": 0.9}] * (inst.tree.n_levels + 1)
+        data["configs"][-1] = {"z_min": 0.2, "z_max": 0.9}
+        with pytest.raises(InputError, match="one band"):
+            model_from_dict(data)
 
     def test_rejects_non_unit_chi(self):
         inst = random_instance(7, n_range=(8, 20), p_range=(2, 3))
@@ -433,7 +439,7 @@ class TestSerialization:
         save_model(inst.model, path)
         back = load_model(path)
         np.testing.assert_array_equal(back.xi2, inst.model.xi2)
-        assert back.configs == inst.model.configs
+        assert back.cfg == inst.model.cfg
 
 
 def test_dense_helpers_are_not_public_names():

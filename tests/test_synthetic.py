@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from nestbench import SyntheticSpec, generate
+from nestbench.data_model import cluster_members
 from nestbench.errors import InputError
 from nestbench.risk_model import assemble_dense
 
@@ -28,7 +29,7 @@ def test_planted_within_cluster_correlation_recovered():
     corr = np.corrcoef(instance.panel.values)
     total = 0.0
     count = 0
-    for members in instance.tree.children(1):
+    for members in cluster_members(instance.tree.parent_maps[0], 4):
         for i in members:
             for j in members:
                 if i < j:
@@ -70,10 +71,10 @@ def test_invalid_specs_rejected():
 def test_every_cluster_populated():
     spec = SyntheticSpec(n=30, t=20, clusters=(10, 4, 2), rho=(0.5, 0.3, 0.2), seed=13)
     instance = generate(spec)
-    for level in range(1, 4):
-        sizes = [len(m) for m in instance.tree.children(level)]
+    for level, k in enumerate(spec.clusters):
+        sizes = [len(m) for m in cluster_members(instance.tree.parent_maps[level], k)]
         assert min(sizes) >= 1
-    assert min(len(m) for m in instance.tree.children(1)) >= 2
+    assert min(len(m) for m in cluster_members(instance.tree.parent_maps[0], 10)) >= 2
 
 
 def test_generate_allocates_no_dense_covariance():
