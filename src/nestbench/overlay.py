@@ -213,94 +213,72 @@ def residualize(expected_returns: np.ndarray, w_star: np.ndarray) -> np.ndarray:
 def optimize_mvo(problem: OverlayProblem, gamma_prime: float, start: np.ndarray | None = None) -> np.ndarray:
     """Maximize E'w - (1/gamma') w'Gamma w over the box, subject to Q'w = 0.
 
-    Primal-dual active-set steps (Hintermueller, Ito and Kunisch, SIAM J.
-    Optim. 13, 2002): solve on the free set, then at once clamp every free
-    coordinate that breaks its box at that bound and release every active
-    bound whose multiplier has the wrong sign. The steps begin from the
+    Each iteration solves on the free set with the active coordinates at
+    their bounds, and stops once no free coordinate breaks its box and no
+    active bound has a wrong-signed multiplier. The first steps are
+    primal-dual active-set steps (Hintermueller, Ito and Kunisch, SIAM J.
+    Optim. 13, 2002), which clamp and release in blocks. They begin from the
     active set of w = 0, or, given ``start`` (say the solution at a nearby
     gamma'), with every coordinate of ``start`` that sits exactly on a bound
-    active there. The start is only a guess: the result depends on the final
-    active set alone. Gamma is not an M-matrix, so if the steps revisit an
-    active set, or stop on one where Q'w = 0 is out of reach,
-    ``_monotone_walk`` solves from w = 0 instead.
+    active there; the result depends on the final active set alone. Gamma
+    is not an M-matrix, so if the steps revisit an active set, or stop on
+    one where Q'w = 0 is out of reach, the loop starts again from w = 0 and
+    walks: it steps toward a solution that breaks bounds only as far as the
+    first bound it hits, and once feasible releases the single worst
+    wrong-signed bound, so the objective rises monotonically and no set
+    recurs. Both rules share 100 (N + 1) iterations, then NoConvergence.
     """
     if gamma_prime <= 0.0:
         raise InputError("gamma_prime must be positive")
-    curvature = 2.0 / gamma_prime
+    curvature = 2.0 / gamma_prime  # the Hessian is curvature * Gamma
     q = problem.constraints
     lower, upper, near, at_lower, at_upper = _cold_start(problem)
     if start is not None:
         at_lower |= start == lower
         at_upper = (start == upper) & ~at_lower
-    seen = set()
-    while (key := (at_lower.tobytes(), at_upper.tobytes())) not in seen:
-        seen.add(key)
+    max_iter = 100 * (problem.n_stocks + 1)
+    w = np.zeros(problem.n_stocks)  # the walk's point, always feasible: bounds straddle zero and Q'0 = 0
+    seen, walking = set(), False
+    for _ in range(max_iter):
+        if not walking:
+            key = (at_lower.tobytes(), at_upper.tobytes())
+            if key in seen:
+                walking = True
+                *_, at_lower, at_upper = _cold_start(problem)
+            seen.add(key)
         free = ~(at_lower | at_upper)
         w_fixed = np.where(at_lower, lower, 0.0) + np.where(at_upper, upper, 0.0)
-        w, mu, null = _solve_equality_qp(problem.model, curvature, problem.expected_returns, q, free, w_fixed)
-        release = _wrong_signs(problem, curvature, w, mu, null, at_lower, at_upper) > 0.0
-        clamp_lo, clamp_hi = free & (w < lower - near), free & (w > upper + near)
-        if not (release | clamp_lo | clamp_hi).any() and _meets_constraints(q, w, null, w_fixed):
-            return w
-        at_lower = (at_lower & ~release) | clamp_lo
-        at_upper = (at_upper & ~release) | clamp_hi
-    return _monotone_walk(problem, gamma_prime)
-
-
-def _monotone_walk(problem: OverlayProblem, gamma_prime: float) -> np.ndarray:
-    """Iterative active-set clamping from w = 0: solve the equality-constrained
-    quadratic on the free set; while its solution breaks bounds, step toward
-    it from the current feasible point, clamp every coordinate that hits its
-    bound, and re-solve; once feasible, release the active bound with the
-    worst wrong-signed multiplier and repeat until the active set is stable.
-    The stepping keeps the objective monotone, which rules out cycling."""
-    n = problem.n_stocks
-    curvature = 2.0 / gamma_prime  # the Hessian is curvature * Gamma
-    e = problem.expected_returns
-    q = problem.constraints
-    lower, upper, near, at_lower, at_upper = _cold_start(problem)
-    max_iter = 100 * (n + 1)
-    w = np.zeros(n)  # always feasible: bounds straddle zero and Q'0 = 0
-    iterations = 0
-    while True:
-        while True:
-            iterations += 1
-            if iterations > max_iter:
-                raise NoConvergence(max_iter)
-            free = ~(at_lower | at_upper)
-            w_fixed = np.where(at_lower, lower, 0.0) + np.where(at_upper, upper, 0.0)
-            target, mu, null = _solve_equality_qp(problem.model, curvature, e, q, free, w_fixed)
-            viol_lo = free & (target < lower - near)
-            viol_hi = free & (target > upper + near)
-            if not viol_lo.any() and not viol_hi.any():
-                w = target
-                break
+        target, mu, null = _solve_equality_qp(problem.model, curvature, problem.expected_returns, q, free, w_fixed)
+        clamp_lo, clamp_hi = free & (target < lower - near), free & (target > upper + near)
+        wrong = _wrong_signs(problem, curvature, target, mu, null, at_lower, at_upper)
+        release = wrong > 0.0
+        if not (release | clamp_lo | clamp_hi).any() and (walking or _meets_constraints(q, target, null, w_fixed)):
+            return target
+        if not walking:
+            at_lower = (at_lower & ~release) | clamp_lo
+            at_upper = (at_upper & ~release) | clamp_hi
+        elif clamp_lo.any() or clamp_hi.any():
             step = target - w
             with np.errstate(divide="ignore", invalid="ignore"):
-                ratio_lo = np.where(viol_lo, (lower - w) / step, np.inf)
-                ratio_hi = np.where(viol_hi, (upper - w) / step, np.inf)
+                ratio_lo = np.where(clamp_lo, (lower - w) / step, np.inf)
+                ratio_hi = np.where(clamp_hi, (upper - w) / step, np.inf)
             alpha = max(0.0, min(1.0, float(np.minimum(ratio_lo, ratio_hi).min())))
             w = w + alpha * step
             hit_lo = free & (step < 0.0) & (w - lower <= near)
             hit_hi = free & (step > 0.0) & (upper - w <= near)
             if not hit_lo.any() and not hit_hi.any():
-                # roundoff left the blocking coordinate marginally inside;
-                # clamp the worst violator outright
-                excess = np.where(viol_lo, lower - target, 0.0) + np.where(viol_hi, target - upper, 0.0)
+                # roundoff left the blocking coordinate marginally inside: clamp the worst violator
+                excess = np.where(clamp_lo, lower - target, 0.0) + np.where(clamp_hi, target - upper, 0.0)
                 worst = int(np.argmax(excess))
-                hit_lo[worst] = viol_lo[worst]
-                hit_hi[worst] = viol_hi[worst]
+                hit_lo[worst], hit_hi[worst] = clamp_lo[worst], clamp_hi[worst]
             at_lower |= hit_lo
             at_upper |= hit_hi
-            w = np.where(hit_lo, lower, w)
-            w = np.where(hit_hi, upper, w)
-
-        wrong = _wrong_signs(problem, curvature, w, mu, null, at_lower, at_upper)
-        if not wrong.any():
-            return w
-        worst = int(np.argmax(wrong))
-        at_lower[worst] = False
-        at_upper[worst] = False
+            w = np.where(hit_lo, lower, np.where(hit_hi, upper, w))
+        else:
+            w = target
+            worst = int(np.argmax(wrong))
+            at_lower[worst] = at_upper[worst] = False
+    raise NoConvergence(max_iter)
 
 
 def _cold_start(problem: OverlayProblem):

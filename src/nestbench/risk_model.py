@@ -348,12 +348,25 @@ def model_to_dict(model: RussianDollModel) -> dict:
     }
 
 
+_SNAPSHOT_KEYS = ("tickers", "level_names", "parent_maps", "beta", "xi2", "zeta2", "top_var",
+                  "fitted_cluster_var", "mkt_fac", "configs")
+
+
 def model_from_dict(data: dict) -> RussianDollModel:
     """Inverse of ``model_to_dict``. Also reads snapshots that still carry
-    the former per-level cluster loadings ``chi``, which were always 1."""
+    the former per-level cluster loadings ``chi``, which were always 1. A
+    snapshot that lacks a key, or whose ``configs`` are not bands, is an
+    ``InputError`` naming the key."""
+    missing = [key for key in _SNAPSHOT_KEYS if key not in data]
+    if missing:
+        raise InputError(f"model snapshot lacks key {missing[0]!r}")
+    configs = data["configs"]
+    if not isinstance(configs, list) or not all(isinstance(c, dict) and {"z_min", "z_max"} <= c.keys()
+                                                for c in configs):
+        raise InputError(f"key 'configs' must list bands with keys 'z_min' and 'z_max', got {configs!r}")
     if any(float(c) != 1.0 for c in data.get("chi", ())):
         raise InputError(f"cluster loadings chi must all be 1, got {data['chi']}")
-    bands = {(c["z_min"], c["z_max"]) for c in data["configs"]}
+    bands = {(c["z_min"], c["z_max"]) for c in configs}
     if len(bands) != 1:
         raise InputError(f"configs must repeat one band (z_min, z_max), got {data['configs']}")
     tickers = tuple(data["tickers"])
@@ -379,4 +392,10 @@ def save_model(model: RussianDollModel, path: str | os.PathLike) -> None:
 
 
 def load_model(path: str | os.PathLike) -> RussianDollModel:
-    return model_from_dict(read_json(path))
+    """The model ``save_model`` wrote to ``path``; a snapshot that
+    ``model_from_dict`` refuses is an ``InputError`` naming the file."""
+    data = read_json(path)
+    try:
+        return model_from_dict(data)
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None

@@ -2,8 +2,9 @@
 
 They know nothing of the nested structure: a direct solve for the benchmark
 weights, the general factor-model inverse, betas from explicit weights, a
-dense stand-in for the nested model's ``matvec``/``solve`` interface, and the
-level fit on one cluster given by its covariance block. They
+dense stand-in for the nested model's ``matvec``/``solve`` interface, the
+level fit on one cluster given by its covariance block, and the overlay's
+monotone walk from w = 0 alone, which the active-set solver must match. They
 live apart from ``_reference.py``, which the benchmark loads on its own,
 without the package on the path.
 """
@@ -19,8 +20,10 @@ from nestbench.errors import (
     InputError,
     InvalidVariance,
     ModelError,
+    NoConvergence,
     SingularCovariance,
 )
+from nestbench.overlay import _cold_start, _solve_equality_qp, _wrong_signs
 
 
 class DegeneratePortfolioVariance(ModelError):
@@ -162,3 +165,59 @@ def dense_of(model) -> np.ndarray:
     """The covariance behind ``model`` as an explicit matrix, one matvec per
     column."""
     return np.column_stack([model.matvec(col) for col in np.eye(model.n_stocks)])
+
+
+def monotone_walk(problem, gamma_prime: float) -> np.ndarray:
+    """Iterative active-set clamping from w = 0: solve the equality-constrained
+    quadratic on the free set; while its solution breaks bounds, step toward
+    it from the current feasible point, clamp every coordinate that hits its
+    bound, and re-solve; once feasible, release the active bound with the
+    worst wrong-signed multiplier and repeat until the active set is stable.
+    The stepping keeps the objective monotone, which rules out cycling."""
+    n = problem.n_stocks
+    curvature = 2.0 / gamma_prime  # the Hessian is curvature * Gamma
+    e = problem.expected_returns
+    q = problem.constraints
+    lower, upper, near, at_lower, at_upper = _cold_start(problem)
+    max_iter = 100 * (n + 1)
+    w = np.zeros(n)  # always feasible: bounds straddle zero and Q'0 = 0
+    iterations = 0
+    while True:
+        while True:
+            iterations += 1
+            if iterations > max_iter:
+                raise NoConvergence(max_iter)
+            free = ~(at_lower | at_upper)
+            w_fixed = np.where(at_lower, lower, 0.0) + np.where(at_upper, upper, 0.0)
+            target, mu, null = _solve_equality_qp(problem.model, curvature, e, q, free, w_fixed)
+            viol_lo = free & (target < lower - near)
+            viol_hi = free & (target > upper + near)
+            if not viol_lo.any() and not viol_hi.any():
+                w = target
+                break
+            step = target - w
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratio_lo = np.where(viol_lo, (lower - w) / step, np.inf)
+                ratio_hi = np.where(viol_hi, (upper - w) / step, np.inf)
+            alpha = max(0.0, min(1.0, float(np.minimum(ratio_lo, ratio_hi).min())))
+            w = w + alpha * step
+            hit_lo = free & (step < 0.0) & (w - lower <= near)
+            hit_hi = free & (step > 0.0) & (upper - w <= near)
+            if not hit_lo.any() and not hit_hi.any():
+                # roundoff left the blocking coordinate marginally inside;
+                # clamp the worst violator outright
+                excess = np.where(viol_lo, lower - target, 0.0) + np.where(viol_hi, target - upper, 0.0)
+                worst = int(np.argmax(excess))
+                hit_lo[worst] = viol_lo[worst]
+                hit_hi[worst] = viol_hi[worst]
+            at_lower |= hit_lo
+            at_upper |= hit_hi
+            w = np.where(hit_lo, lower, w)
+            w = np.where(hit_hi, upper, w)
+
+        wrong = _wrong_signs(problem, curvature, w, mu, null, at_lower, at_upper)
+        if not wrong.any():
+            return w
+        worst = int(np.argmax(wrong))
+        at_lower[worst] = False
+        at_upper[worst] = False

@@ -117,6 +117,12 @@ def random_overlay_problem(
     return problem, gamma
 
 
+def wrong_at_stock_0(problem, *args):
+    """Stands in for ``overlay._wrong_signs``: the multiplier of stock 0
+    always has the wrong sign, so the active-set loop never stops."""
+    return np.eye(problem.n_stocks)[0]
+
+
 def past_one_upper_bound(optimize):
     """``optimize_mvo``, with each sleeve pushed 1e-6 past the upper bound of
     the stock nearest that bound and the excess taken from the stock with the

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import assert_no_child_left, blas_threads_env, past_one_upper_bound, returns_ranges
+from conftest import assert_no_child_left, blas_threads_env, past_one_upper_bound, returns_ranges, wrong_at_stock_0
 
 import nestbench.cli
 import nestbench.overlay
@@ -290,6 +290,19 @@ class TestOverlay:
             "--expected-returns", str(signal), "--out", str(out),
         ) == 4
         assert "fails its KKT check" in capsys.readouterr().err
+        assert not (out / "overlay.csv").exists()
+
+    def test_optimizer_that_does_not_converge_exits_4(self, tmp_path, capsys, monkeypatch):
+        fix = _synth(tmp_path)
+        signal = _write_signal(fix / "returns.csv", tmp_path / "e.csv", jitter=0.01)
+        monkeypatch.setattr(nestbench.overlay, "_wrong_signs", wrong_at_stock_0)
+        out = tmp_path / "ov"
+        assert run(
+            "overlay", "--returns", str(fix / "returns.csv"),
+            "--classification", str(fix / "classification.csv"),
+            "--expected-returns", str(signal), "--out", str(out),
+        ) == 4
+        assert "did not converge within 1700 iterations" in capsys.readouterr().err
         assert not (out / "overlay.csv").exists()
 
     def test_infeasible_custom_bounds(self, tmp_path):

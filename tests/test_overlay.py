@@ -6,11 +6,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import past_one_upper_bound, random_overlay_problem
-from _dense import DenseCovariance, dense_of
+from conftest import past_one_upper_bound, random_overlay_problem, wrong_at_stock_0
+from _dense import DenseCovariance, dense_of, monotone_walk
 
 import nestbench.overlay
-from nestbench.overlay import _monotone_walk
 from nestbench.synthetic import SyntheticSpec, generate
 
 from nestbench import (
@@ -30,6 +29,7 @@ from nestbench.errors import (
     DegenerateRegression,
     InputError,
     LongOnlyViolation,
+    NoConvergence,
     SolverError,
 )
 
@@ -258,17 +258,17 @@ class TestOptimizeMvo:
                 w = optimize_mvo(problem, gamma)
                 assert kkt_check(problem, gamma, w).ok
                 assert np.abs(problem.constraints.T @ w).max() <= 1e-20
-                np.testing.assert_allclose(w, _monotone_walk(problem, gamma), rtol=0, atol=1e-20)
+                np.testing.assert_allclose(w, monotone_walk(problem, gamma), rtol=0, atol=1e-20)
 
     def test_fallback_to_monotone_walk(self, monkeypatch):
         # the primal-dual steps revisit an active set at 0.1 gamma_max and
         # settle where Q'w = 0 is out of reach at 1 and 10 gamma_max
         problem = _banded_problem(172, _MODE_SETS[2], [0.449, 0.768, 0.89])
-        walks = _counting_walk(monkeypatch)
+        starts = _counting(monkeypatch, "_cold_start")
         for gamma in default_gamma_max(problem) * np.array([0.1, 1.0, 10.0]):
-            walks.clear()
+            starts.clear()
             w = optimize_mvo(problem, gamma)
-            assert walks == [1]
+            assert len(starts) == 2  # one walk
             assert kkt_check(problem, gamma, w).ok
 
     def test_pinned_active_sets_skip_the_walk(self, monkeypatch):
@@ -276,7 +276,8 @@ class TestOptimizeMvo:
         # stock pinned holds w = 0 to rounding: it is accepted, not walked.
         # A stop test that also asked such sets for rounding-level residuals
         # walked 366 of these 1,000 solves; this one walks 327
-        walks = _counting_walk(monkeypatch)
+        starts = _counting(monkeypatch, "_cold_start")
+        solves = 0
         for seed in range(200):
             rng = np.random.default_rng([seed, 99])
             n = int(rng.integers(3, 9))
@@ -284,8 +285,14 @@ class TestOptimizeMvo:
             bands = np.where(rng.uniform(size=n) < 0.3, 0.0, rng.uniform(size=n))
             problem = _banded_problem(seed, modes, bands)
             for gamma in default_gamma_max(problem) * np.array([1e-3, 1e-2, 1e-1, 1.0, 10.0]):
-                np.testing.assert_array_equal(optimize_mvo(problem, gamma), _monotone_walk(problem, gamma))
-        assert len(walks) < 366
+                np.testing.assert_array_equal(optimize_mvo(problem, gamma), monotone_walk(problem, gamma))
+                solves += 1
+        assert len(starts) - solves < 366
+
+    def test_iteration_bound(self, monkeypatch):
+        monkeypatch.setattr(nestbench.overlay, "_wrong_signs", wrong_at_stock_0)
+        with pytest.raises(NoConvergence, match="within 400 iterations"):
+            optimize_mvo(_problem([0.1, -0.1, 0.0], np.eye(3)), 1.0)
 
 
 class TestWarmStart:
@@ -295,7 +302,7 @@ class TestWarmStart:
             modes = ("dollar-neutral",) if seed % 2 else ("dollar-neutral", "zero-expected-correlation")
             problem, gamma = random_overlay_problem(seed, modes=modes)
             for g in (gamma, gamma / 3.0, 3.0 * gamma):
-                walked = _monotone_walk(problem, g)
+                walked = monotone_walk(problem, g)
                 w = optimize_mvo(problem, g)
                 np.testing.assert_allclose(w, walked, rtol=0, atol=1e-12 * np.abs(walked).max())
                 assert kkt_check(problem, g, w).ok, (seed, g)
@@ -356,7 +363,7 @@ def test_active_set_property(problem):
     for gamma in default_gamma_max(problem) * np.array([1e-3, 1e-2, 1e-1, 1.0, 10.0]):
         w = optimize_mvo(problem, gamma)
         assert kkt_check(problem, gamma, w).ok
-        np.testing.assert_allclose(w, _monotone_walk(problem, gamma), rtol=0, atol=1e-10)
+        np.testing.assert_allclose(w, monotone_walk(problem, gamma), rtol=0, atol=1e-10)
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
@@ -385,26 +392,17 @@ def test_warm_started_solve_property(problem):
                 np.testing.assert_allclose(w, cold[i], rtol=0, atol=1e-10)
 
 
-def _counting_walk(monkeypatch):
+def _counting(monkeypatch, name):
+    """Record each call of ``nestbench.overlay.<name>``. ``_cold_start`` runs
+    once per solve, and once more for each solve that walks."""
     calls = []
+    function = getattr(nestbench.overlay, name)
 
     def counted(*args):
         calls.append(1)
-        return _monotone_walk(*args)
+        return function(*args)
 
-    monkeypatch.setattr(nestbench.overlay, "_monotone_walk", counted)
-    return calls
-
-
-def _counting_kkt(monkeypatch):
-    calls = []
-    solve = nestbench.overlay._solve_equality_qp
-
-    def counted(*args):
-        calls.append(1)
-        return solve(*args)
-
-    monkeypatch.setattr(nestbench.overlay, "_solve_equality_qp", counted)
+    monkeypatch.setattr(nestbench.overlay, name, counted)
     return calls
 
 
@@ -486,7 +484,7 @@ class TestTuneGamma:
             problem, _ = random_overlay_problem(seed, n_range=(50, 60))
             with monkeypatch.context() as patch:
                 patch.setattr(nestbench.overlay, "optimize_mvo",
-                              lambda problem, gamma, start=None: _monotone_walk(problem, gamma))
+                              lambda problem, gamma, start=None: monotone_walk(problem, gamma))
                 walked = tune_gamma(problem)
             result = tune_gamma(problem)
             assert result.gamma_prime == walked.gamma_prime
@@ -505,7 +503,7 @@ class TestTuneGamma:
             problem = make_overlay_problem(signal, model, benchmark_weights(model).weights,
                                            modes=("dollar-neutral", "zero-expected-correlation"))
             with monkeypatch.context() as patch:
-                calls = _counting_kkt(patch)
+                calls = _counting(patch, "_solve_equality_qp")
                 probes = _recording_probes(patch)
                 result = tune_gamma(problem)
             assert len(result.active_lower) + len(result.active_upper) > 0.9 * n
@@ -525,7 +523,7 @@ class TestTuneGamma:
                 unwarmed_probes = _recording_probes(patch, lambda problem, gamma, start=None: cold(problem, gamma))
                 unwarmed = tune_gamma(problem)
             with monkeypatch.context() as patch:
-                calls = _counting_kkt(patch)
+                calls = _counting(patch, "_solve_equality_qp")
                 probes = _recording_probes(patch)
                 result = tune_gamma(problem)
             assert result.gamma_prime == unwarmed.gamma_prime

@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -440,6 +443,21 @@ class TestSerialization:
         back = load_model(path)
         np.testing.assert_array_equal(back.xi2, inst.model.xi2)
         assert back.cfg == inst.model.cfg
+
+    @pytest.mark.parametrize("key, damage", [
+        ("xi2", lambda data: data.pop("xi2")),
+        ("z_max", lambda data: data.update(configs=data["configs"][:-1] + [{"z_min": 0.1}])),
+        ("configs", lambda data: data.update(configs="z_min=0.1,z_max=0.9")),
+    ], ids=["xi2-missing", "entry-without-z_max", "configs-string"])
+    def test_broken_snapshot_names_file_and_key(self, tmp_path, key, damage):
+        from nestbench import load_model
+
+        data = model_to_dict(random_instance(8, n_range=(6, 12)).model)
+        damage(data)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(InputError, match=f"^{re.escape(str(path))}: .*'{key}'"):
+            load_model(path)
 
 
 def test_dense_helpers_are_not_public_names():
