@@ -35,9 +35,9 @@ class BenchmarkResult:
     def __post_init__(self):
         weights = np.array(self.weights, dtype=float)
         object.__setattr__(self, "weights", weights)
-        if np.any(weights <= 0.0):
+        if not np.all(weights > 0.0):  # NaN fails both rules
             raise DegenerateModel("benchmark weights must be strictly positive")
-        if self.sigma_f2 <= 0.0:
+        if not self.sigma_f2 > 0.0:
             raise DegenerateModel("benchmark variance must be positive")
         weights.setflags(write=False)
 
@@ -71,7 +71,7 @@ def benchmark_weights(model: RussianDollModel) -> BenchmarkResult:
     beta = model.beta.values
     x = model.solve(beta)
     inv_sigma2 = float(np.einsum("i,i->", beta, x))
-    if inv_sigma2 <= 0.0:
+    if not inv_sigma2 > 0.0:
         raise DegenerateModel("implied benchmark variance is not positive")
     g0 = model.tree.parent_maps[0]
     gamma = np.bincount(g0, x * model.xi2 / beta) / np.bincount(g0)

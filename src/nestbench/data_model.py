@@ -10,6 +10,7 @@ No other module opens a file: they go through ``read_keyed_csv``,
 
 from __future__ import annotations
 
+import array
 import bisect
 import csv
 import json
@@ -29,6 +30,7 @@ from .errors import (
     MissingInputFile,
     NonNumericCell,
     UnmappedStock,
+    in_file,
 )
 
 
@@ -48,7 +50,7 @@ class ReturnsPanel:
         if values.shape != (n, t):
             raise InputError(f"returns shape {values.shape} does not match labels ({n}, {t})")
         if n < 2:
-            raise InputError(f"need at least 2 tickers, got {n}")
+            raise InputError(f"need at least 2 data rows, got {n}")
         if t < 2:
             raise InsufficientObservations(t)
         if (tic := _first_repeat(self.tickers)) is not None:
@@ -179,9 +181,9 @@ def load_returns_csv(path: str | os.PathLike) -> ReturnsPanel:
     number of ranges. Lines holding only a line end are skipped wherever they
     stand. A file that parser does not take whole (quoted labels, ragged
     rows, a cell holding anything but digits, signs, a dot or an exponent, a
-    malformed number), or whose tickers or dates repeat, is parsed again cell
-    by cell, so every file loads, or fails naming its first bad cell or
-    repeated label, exactly as the per-cell parse alone would have it.
+    malformed number) is parsed again cell by cell, so it loads, or fails
+    naming its first bad cell, as the per-cell parse alone would have it.
+    On both paths ``ReturnsPanel`` alone refuses repeats and short panels.
     """
     tickers: list[str] = []
     try:
@@ -195,9 +197,7 @@ def load_returns_csv(path: str | os.PathLike) -> ReturnsPanel:
             values = _parse_ranges(path, handle, data, len(dates), tickers)
     except (OSError, ValueError):  # ValueError includes UnicodeDecodeError
         return _load_returns_slowly(path)
-    if min(values.shape) < 2 or _first_repeat(tickers) is not None or _first_repeat(dates) is not None:
-        return _load_returns_slowly(path)
-    return ReturnsPanel(tuple(tickers), dates, values)
+    return in_file(path, ReturnsPanel, tuple(tickers), dates, values)
 
 
 # The smallest range that repays its fork. Files cut from bench-wide's, of
@@ -505,30 +505,22 @@ def _read_numbers(text: bytes, dtype, count: int) -> np.ndarray:
 
 
 def _load_returns_slowly(path) -> ReturnsPanel:
-    """The reference parse: the ``csv`` module and one ``float`` per cell."""
+    """The reference parse: the ``csv`` module, one row at a time, and one
+    ``float`` per cell. It checks syntax alone; ``ReturnsPanel`` the rest."""
     rows = _read_csv(path)
-    if len(rows) < 3:
-        raise InputError(f"{path}: expected a header row of dates and at least 2 data rows")
-    if len(rows[0]) < 3:
-        raise InsufficientObservations(len(rows[0]) - 1)
-    dates = tuple(rows[0][1:])
+    dates = tuple(next(rows, [])[1:])
     tickers: list[str] = []
-    values = np.empty((len(rows) - 1, len(dates)))
-    for r, row in enumerate(rows[1:]):
+    cells = array.array("d")  # grows in place, where a list of rows would be copied once more
+    for r, row in enumerate(rows, start=1):
         if len(row) != len(dates) + 1:
-            raise InputError(f"{path}: row {r + 1} has {len(row)} fields, expected {len(dates) + 1}")
+            raise InputError(f"{path}: row {r} has {len(row)} fields, expected {len(dates) + 1}")
         tickers.append(row[0])
-        for c, cell in enumerate(row[1:]):
+        for c, cell in enumerate(row[1:], start=1):
             try:
-                values[r, c] = float(cell)
+                cells.append(float(cell))
             except ValueError:
-                raise NonNumericCell(r + 1, c + 1, cell) from None
-    # ReturnsPanel refuses repeats too, but cannot name the file
-    if (tic := _first_repeat(tickers)) is not None:
-        raise DuplicateTicker(tic, path)
-    if (date := _first_repeat(dates)) is not None:
-        raise InputError(f"{path}: duplicate date label: {date!r}")
-    return ReturnsPanel(tuple(tickers), dates, values)
+                raise NonNumericCell(r, c, cell) from None
+    return in_file(path, ReturnsPanel, tuple(tickers), dates, np.frombuffer(cells).reshape(len(tickers), len(dates)))
 
 
 def load_classification_csv(path: str | os.PathLike, panel: ReturnsPanel) -> ClassificationTree:
@@ -536,27 +528,26 @@ def load_classification_csv(path: str | os.PathLike, panel: ReturnsPanel) -> Cla
 
     Nesting is inferred column to column; a level-l cluster appearing under
     two distinct level-(l+1) labels is an error. Rows for tickers outside the
-    panel are ignored.
+    panel are ignored. A nesting refusal names the file.
     """
     rows = _read_csv(path)
-    if not rows or len(rows[0]) < 2:
+    p = len(next(rows, [])) - 1
+    if p < 1:
         raise InputError(f"{path}: expected header 'ticker,level1,...'")
-    p = len(rows[0]) - 1
     by_ticker: dict[str, tuple[str, ...]] = {}
-    for r, row in enumerate(rows[1:]):
+    for r, row in enumerate(rows, start=1):
         if len(row) != p + 1:
-            raise InputError(f"{path}: row {r + 1} has {len(row)} fields, expected {p + 1}")
+            raise InputError(f"{path}: row {r} has {len(row)} fields, expected {p + 1}")
         if row[0] in by_ticker:
             raise DuplicateTicker(row[0], path)
         for c, cell in enumerate(row[1:]):
             if cell == "":
-                raise InputError(f"{path}: empty level-{c + 1} label on row {r + 1}")
+                raise InputError(f"{path}: empty level-{c + 1} label on row {r}")
         by_ticker[row[0]] = tuple(row[1:])
     for ticker in panel.tickers:
         if ticker not in by_ticker:
             raise UnmappedStock(ticker)
-    labels = [by_ticker[t] for t in panel.tickers]
-    return tree_from_labels(panel.tickers, labels)
+    return in_file(path, tree_from_labels, panel.tickers, [by_ticker[t] for t in panel.tickers])
 
 
 def tree_from_labels(tickers, labels) -> ClassificationTree:
@@ -623,10 +614,10 @@ def read_keyed_csv(path, header: tuple[str, str]) -> list[tuple[str, float]]:
     case-insensitively, further columns are ignored, and a missing,
     non-numeric or non-finite value is an ``InputError`` naming the key."""
     rows = _read_csv(path)
-    if not rows or tuple(c.lower() for c in rows[0][:2]) != header:
+    if tuple(c.lower() for c in next(rows, [])[:2]) != header:
         raise InputError(f"{path}: expected header '{','.join(header)}'")
     pairs = []
-    for row in rows[1:]:
+    for row in rows:
         try:
             value = float(row[1])
         except (IndexError, ValueError):
@@ -668,13 +659,15 @@ def write_json(path, payload) -> None:
         handle.write("\n")
 
 
-def _read_csv(path) -> list[list[str]]:
+def _read_csv(path):
+    """The non-empty rows of a CSV file, one at a time; a missing file, text
+    not UTF-8 or a field over the ``csv`` limit is refused naming the file."""
     if not os.path.exists(path):
         raise MissingInputFile(path)
     # utf-8-sig drops the byte-order mark that spreadsheets write before "CSV UTF-8"
     with open(path, newline="", encoding="utf-8-sig") as handle:
         try:
-            return [row for row in csv.reader(handle) if row]
+            yield from filter(None, csv.reader(handle))
         except UnicodeDecodeError as exc:
             raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from None
         except csv.Error as exc:  # a field over the csv module's size limit, say

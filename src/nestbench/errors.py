@@ -19,6 +19,15 @@ class SolverError(Exception):
     """An optimizer did not converge, or its solution failed its KKT check."""
 
 
+def in_file(path, build, *args):
+    """``build(*args)``; an InputError or ModelError it raises keeps its type and fields and names ``path``."""
+    try:
+        return build(*args)
+    except (InputError, ModelError) as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
+
+
 class MissingInputFile(InputError):
     def __init__(self, path):
         super().__init__(f"input file not found: {path}")

@@ -250,14 +250,7 @@ def optimize_mvo(problem: OverlayProblem, gamma_prime: float, start: np.ndarray 
         w_fixed = np.where(at_lower, lower, 0.0) + np.where(at_upper, upper, 0.0)
         target, mu, null = _solve_equality_qp(problem.model, curvature, problem.expected_returns, q, free, w_fixed)
         clamp_lo, clamp_hi = free & (target < lower - near), free & (target > upper + near)
-        wrong = _wrong_signs(problem, curvature, target, mu, null, at_lower, at_upper)
-        release = wrong > 0.0
-        if not (release | clamp_lo | clamp_hi).any() and (walking or _meets_constraints(q, target, null, w_fixed)):
-            return target
-        if not walking:
-            at_lower = (at_lower & ~release) | clamp_lo
-            at_upper = (at_upper & ~release) | clamp_hi
-        elif clamp_lo.any() or clamp_hi.any():
+        if walking and (clamp_lo.any() or clamp_hi.any()):
             step = target - w
             with np.errstate(divide="ignore", invalid="ignore"):
                 ratio_lo = np.where(clamp_lo, (lower - w) / step, np.inf)
@@ -274,10 +267,19 @@ def optimize_mvo(problem: OverlayProblem, gamma_prime: float, start: np.ndarray 
             at_lower |= hit_lo
             at_upper |= hit_hi
             w = np.where(hit_lo, lower, np.where(hit_hi, upper, w))
-        else:
+            continue
+        # the multipliers are read only where this step may stop or release
+        wrong = _wrong_signs(problem, curvature, target, mu, null, at_lower, at_upper)
+        release = wrong > 0.0
+        if not (release | clamp_lo | clamp_hi).any() and (walking or _meets_constraints(q, target, null, w_fixed)):
+            return target
+        if walking:
             w = target
             worst = int(np.argmax(wrong))
             at_lower[worst] = at_upper[worst] = False
+        else:
+            at_lower = (at_lower & ~release) | clamp_lo
+            at_upper = (at_upper & ~release) | clamp_hi
     raise NoConvergence(max_iter)
 
 

@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .data_model import BetaVector, ClassificationTree, ReturnsPanel, cluster_members, read_json, write_json
-from .errors import InputError, InvalidVariance, NegativeSpecificVariance
+from .errors import InputError, InvalidVariance, NegativeSpecificVariance, in_file
 
 
 @dataclass(frozen=True)
@@ -135,13 +135,16 @@ class RussianDollModel:
             raise InvalidVariance("stock specific variances must be strictly positive")
         if len(zeta2) != p or len(fitted) != p:
             raise InputError(f"expected {p} levels of cluster data")
+        # each rule is written so that NaN fails it
         for lvl in range(p):
-            if zeta2[lvl].shape != (counts[lvl],) or np.any(zeta2[lvl] < 0.0):
-                raise InvalidVariance(f"level-{lvl + 1} specific variances invalid")
+            if zeta2[lvl].shape != (counts[lvl],) or not np.all((0.0 <= zeta2[lvl]) & (zeta2[lvl] < np.inf)):
+                raise InvalidVariance(f"level-{lvl + 1} specific variances must be finite and nonnegative")
             if fitted[lvl].shape != (counts[lvl],):
                 raise InputError(f"level-{lvl + 1} fitted variances have wrong length")
-        if self.top_var < 0.0:
-            raise InvalidVariance("top-level variance must be nonnegative")
+            if not np.all((0.0 <= fitted[lvl]) & (fitted[lvl] < np.inf)):
+                raise InvalidVariance(f"level-{lvl + 1} fitted variances must be finite and nonnegative")
+        if not 0.0 <= self.top_var < np.inf:
+            raise InvalidVariance(f"top-level variance must be finite and nonnegative, got {self.top_var}")
         for z in zeta2:
             z.setflags(write=False)
         for g in fitted:
@@ -392,10 +395,6 @@ def save_model(model: RussianDollModel, path: str | os.PathLike) -> None:
 
 
 def load_model(path: str | os.PathLike) -> RussianDollModel:
-    """The model ``save_model`` wrote to ``path``; a snapshot that
-    ``model_from_dict`` refuses is an ``InputError`` naming the file."""
-    data = read_json(path)
-    try:
-        return model_from_dict(data)
-    except InputError as exc:
-        raise InputError(f"{path}: {exc}") from None
+    """The model ``save_model`` wrote to ``path``. A refusal of
+    ``model_from_dict`` keeps its type and fields, and names the file."""
+    return in_file(path, model_from_dict, read_json(path))

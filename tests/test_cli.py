@@ -238,6 +238,25 @@ class TestOverlay:
         sidecar = json.loads((out / "overlay.json").read_text())
         assert sidecar["sharpe_opt"] == 0.0
 
+    def test_residualize_tunes_the_residual_signal(self, tmp_path):
+        fix = _synth(tmp_path)
+        signal = _write_signal(fix / "returns.csv", tmp_path / "e.csv", jitter=0.01)
+        out = tmp_path / "ov"
+        assert run("overlay", "--returns", str(fix / "returns.csv"), "--classification",
+                   str(fix / "classification.csv"), "--expected-returns", str(signal), "--residualize",
+                   "--out", str(out)) == 0
+        w_prime = np.array([float(r["w_prime"]) for r in csv.DictReader(open(out / "overlay.csv"))])
+        panel = nestbench.load_returns_csv(fix / "returns.csv")
+        tree = nestbench.load_classification_csv(fix / "classification.csv", panel)
+        model = nestbench.build_russian_doll(panel, tree, nestbench.make_betas(panel))
+        w_star = nestbench.benchmark_weights(model).weights
+        e = np.array([float(r["expected_return"]) for r in csv.DictReader(open(signal))])
+        tuned = {}
+        for name, values in (("raw", e), ("residual", nestbench.residualize(e, w_star / w_star.sum()))):
+            tuned[name] = nestbench.tune_gamma(nestbench.make_overlay_problem(values, model, w_star)).w_prime
+        assert w_prime.tobytes() == tuned["residual"].tobytes()
+        assert w_prime.any() and w_prime.tobytes() != tuned["raw"].tobytes()
+
     def test_zero_signal_under_correlation_constraint_writes_finite_rows(self, tmp_path):
         fix = _synth(tmp_path)
         signal = _write_signal(fix / "returns.csv", tmp_path / "e.csv", value="0.0")

@@ -261,16 +261,47 @@ class TestLoadReturns:
     def test_peak_memory_stays_near_the_array(self, tmp_path):
         n, t = 1000, 500
         values = np.random.default_rng(0).normal(0.0, 0.02, (n, t))
-        panel = ReturnsPanel(tuple(f"T{i}" for i in range(n)), tuple(f"D{s}" for s in range(t)), values)
-        path = tmp_path / "r.csv"
-        write_returns_csv(panel, path)
-        tracemalloc.start()
-        try:
-            load_returns_csv(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 3 * values.nbytes, f"peak {peak / values.nbytes:.1f}x the array"
+        # the writer quotes a ticker that holds a comma, so the per-cell
+        # parse reads the second file, one row at a time
+        for first in ("T0", "T0,x"):
+            tickers = (first, *(f"T{i}" for i in range(1, n)))
+            panel = ReturnsPanel(tickers, tuple(f"D{s}" for s in range(t)), values)
+            path = tmp_path / "r.csv"
+            write_returns_csv(panel, path)
+            tracemalloc.start()
+            try:
+                assert load_returns_csv(path).tickers[0] == first
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 3 * values.nbytes, f"{first!r}: peak {peak / values.nbytes:.1f}x the array"
+
+    def test_panel_rules_need_no_per_cell_parse(self, tmp_path, monkeypatch):
+        # ReturnsPanel alone checks the panel's rules, and the fast parse
+        # hands it the file's name; the per-cell parse is for syntax alone
+        files = {
+            "ticker,d1,d2\nA,0.01,0.02\nB,0,0\nA,0.0,0.0\n": (DuplicateTicker, "duplicate ticker 'A'"),
+            "ticker,d1,d2,d3,d2,d1\nA,0.1,0.2,0.3,0.4,0.5\nB,0,0,0,0,0\n": (InputError, "duplicate date label: 'd2'"),
+            "ticker,d1,d2\nA,0.01,0.02\n": (InputError, "at least 2 data rows"),
+        }
+
+        def refuse(path):
+            raise AssertionError(f"per-cell parse of {path}")
+
+        monkeypatch.setattr(data_model, "_load_returns_slowly", refuse)
+        for i, (text, (error, message)) in enumerate(files.items()):
+            path = _write(tmp_path / f"r{i}.csv", text)
+            with pytest.raises(error, match=re.escape(f"{path}: ") + ".*" + re.escape(message)) as err:
+                load_returns_csv(path)
+            assert type(err.value) is error
+        monkeypatch.undo()
+        # the per-cell parse checks no rule of the panel: it hands every
+        # syntactically sound file to ReturnsPanel
+        panels = []
+        monkeypatch.setattr(data_model, "ReturnsPanel", lambda *args: panels.append(args))
+        for i in range(len(files)):
+            _load_returns_slowly(str(tmp_path / f"r{i}.csv"))
+        assert [(len(tickers), len(dates)) for tickers, dates, _ in panels] == [(3, 2), (2, 5), (1, 2)]
 
 
 _HEADER = "ticker,d1,d2,d3"
@@ -656,6 +687,13 @@ class TestLoadClassification:
         path = _write(tmp_path / "c.csv", "ticker,sub,sector\nA,s1,S\nB,s1,R\n")
         with pytest.raises(InconsistentNesting):
             load_classification_csv(path, panel)
+
+    def test_inconsistent_nesting_names_the_file(self, tmp_path):
+        panel = self._panel(["A", "B"])
+        path = _write(tmp_path / "c.csv", "ticker,sub,sector\nA,s1,S\nB,s1,R\n")
+        with pytest.raises(InconsistentNesting, match=re.escape(f"{path}: level-1 cluster 's1' maps to")) as err:
+            load_classification_csv(path, panel)
+        assert (err.value.level, err.value.cluster, err.value.parents) == (1, "s1", {"S", "R"})
 
     def test_singleton_subindustry_is_valid(self, tmp_path):
         panel = self._panel(["A", "B", "C"])

@@ -15,9 +15,11 @@ from nestbench.synthetic import SyntheticSpec, generate
 from nestbench import (
     benchmark_weights,
     build_constraints,
+    build_russian_doll,
     combine,
     default_gamma_max,
     kkt_check,
+    make_betas,
     make_overlay_problem,
     optimize_mvo,
     residualize,
@@ -469,6 +471,22 @@ class TestTuneGamma:
         np.testing.assert_array_equal(result.w_prime, np.zeros(3))
         assert not result.bracket_saturated
         assert 0.0 < result.gamma_prime < 1.0
+
+    def test_no_sleeve_beats_the_benchmark(self):
+        # a signal along Gamma w* that the dollar-neutral sleeve cannot use:
+        # the best probe falls short of S(0), so the sleeve is dropped (75 of
+        # 200 noise seeds on this fixture)
+        inst = generate(SyntheticSpec(n=24, t=250, clusters=(6, 2), rho=(0.5, 0.3), market_rho=0.1, seed=7))
+        model = build_russian_doll(inst.panel, inst.tree, make_betas(inst.panel))
+        w_star = benchmark_weights(model).weights
+        g = model.matvec(w_star)
+        signal = 0.01 * g / g.std() + np.random.default_rng(1).normal(0.0, 0.001, len(g))
+        problem = make_overlay_problem(signal, model, w_star, band=0.5, modes=("dollar-neutral",))
+        result = tune_gamma(problem)
+        assert result.gamma_prime == 0.0
+        np.testing.assert_array_equal(result.w_prime, np.zeros(24))
+        assert result.sharpe_opt == result.sharpe_zero == sharpe_ratio(problem, np.zeros(24))
+        assert not result.bracket_saturated
 
     def test_monotone_benefit(self):
         for seed in range(8):

@@ -23,13 +23,14 @@ from nestbench import (
     default_gamma_max,
     fit_theta,
     generate,
+    make_betas,
     make_overlay_problem,
     model_from_dict,
     model_to_dict,
     optimize_mvo,
     tree_from_labels,
 )
-from nestbench.errors import InputError, InvalidVariance, NegativeSpecificVariance
+from nestbench.errors import InputError, InvalidVariance, NegativeSpecificVariance, UnmappedStock
 from nestbench.risk_model import assemble_dense
 
 DEFAULT = ThetaFitConfig()
@@ -165,6 +166,25 @@ class TestBuildRussianDoll:
         for labels in ([("c1",), ("c1",), ("c2",), ("c3",)], [("c1",), ("c1",), ("c2",), ("c2",)]):
             with pytest.raises(InvalidVariance, match="'S2'"):
                 build_russian_doll(panel, tree_from_labels(tickers, labels), beta)
+
+    def test_non_positive_cluster_specific_variance_is_named(self):
+        # a level-2 fit that takes the whole of one cluster's variance leaves
+        # that cluster no specific variance
+        inst = generate(SyntheticSpec(n=60, t=8, clusters=(6, 2), rho=(0.995, 0.5), market_rho=0.2, seed=11))
+        with pytest.raises(NegativeSpecificVariance, match=re.escape(
+                "level 2, cluster 'L2C002': specific variance 0 is not positive")) as err:
+            build_russian_doll(inst.panel, inst.tree, make_betas(inst.panel), cfg=ThetaFitConfig(0.0, 0.9))
+        assert (err.value.level, err.value.cluster) == (2, "L2C002")
+
+    def test_cancelling_cluster_is_named(self):
+        # two members whose returns cancel exactly sum to a series of zero variance
+        values = np.random.default_rng(0).normal(size=(4, 30))
+        values[1] = -values[0]
+        tickers = ("S0", "S1", "S2", "S3")
+        panel = ReturnsPanel(tickers, tuple(f"d{s}" for s in range(30)), values)
+        tree = tree_from_labels(tickers, [("c1",), ("c1",), ("c2",), ("c2",)])
+        with pytest.raises(InvalidVariance, match="aggregated variance of cluster 'c1' is not positive"):
+            build_russian_doll(panel, tree, make_betas(panel))
 
     def test_misaligned_inputs(self):
         tree = _two_cluster_tree()
@@ -458,6 +478,29 @@ class TestSerialization:
         path.write_text(json.dumps(data))
         with pytest.raises(InputError, match=f"^{re.escape(str(path))}: .*'{key}'"):
             load_model(path)
+
+    @pytest.mark.parametrize("key, level", [("zeta2", "level-2 specific"), ("top_var", "top-level"),
+                                            ("fitted_cluster_var", "level-1 fitted")])
+    def test_nan_variance_is_refused_naming_the_file(self, tmp_path, key, level):
+        # json reads NaN, which every rule of the model must fail
+        data = model_to_dict(random_instance(8, n_range=(6, 12), p_range=(2, 2)).model)
+        if key == "top_var":
+            data[key] = float("nan")
+        else:
+            data[key][0 if key == "fitted_cluster_var" else 1][0] = float("nan")
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(InvalidVariance, match=f"^{re.escape(str(path))}: {level} variance"):
+            nestbench.load_model(path)
+
+    def test_stock_map_past_the_last_cluster_keeps_its_type(self, tmp_path):
+        data = model_to_dict(random_instance(8, n_range=(6, 12)).model)
+        data["parent_maps"][0][-1] = len(data["level_names"][0])
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(UnmappedStock, match=f"^{re.escape(str(path))}: stock ") as err:
+            nestbench.load_model(path)
+        assert err.value.ticker == data["tickers"][-1]
 
 
 def test_dense_helpers_are_not_public_names():
