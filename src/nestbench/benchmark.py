@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_model import BetaVector, ReturnsPanel, write_csv
-from .errors import DegenerateBenchmark, DegenerateModel, InputError, InvalidBeta
+from .errors import DegenerateBenchmark, DegenerateModel, InputError, InvalidBeta, require_each
 from .risk_model import RussianDollModel
 from .risk_model import sample_covariance  # noqa: F401  (perfbench/trace_layers.py wraps this name here)
 
@@ -35,8 +35,8 @@ class BenchmarkResult:
     def __post_init__(self):
         weights = np.array(self.weights, dtype=float)
         object.__setattr__(self, "weights", weights)
-        if not np.all(weights > 0.0):  # NaN fails both rules
-            raise DegenerateModel("benchmark weights must be strictly positive")
+        require_each(weights > 0.0, lambda i: DegenerateModel(
+            f"benchmark weights must be strictly positive; {self.tickers[i]!r} has {weights[i]}"))
         if not self.sigma_f2 > 0.0:
             raise DegenerateModel("benchmark variance must be positive")
         weights.setflags(write=False)
@@ -113,9 +113,7 @@ def make_betas(
     elif spec.mode == "observed-capped":
         if index_returns is None:
             raise InputError("observed-capped mode requires index returns")
-        if np.any(sigma <= 0.0):
-            bad = panel.tickers[int(np.argmax(sigma <= 0.0))]
-            raise InvalidBeta(f"zero sample volatility for {bad!r}")
+        require_each(sigma > 0.0, lambda i: InvalidBeta(f"zero sample volatility for {panel.tickers[i]!r}"))
         observed = serial_betas(panel, index_returns) / sigma
         median = _median(observed)
         if median <= 0.0:

@@ -31,6 +31,7 @@ from .errors import (
     NonNumericCell,
     UnmappedStock,
     in_file,
+    require_each,
 )
 
 
@@ -103,19 +104,15 @@ class ClassificationTree:
             raise InputError("classification needs at least one level")
         if len(maps) != p:
             raise InputError("parent_maps and level_names lengths differ")
-        sizes = [len(self.tickers)] + [len(names) for names in self.level_names]
+        units = (self.tickers, *self.level_names)  # what each map maps: stocks, then each level's clusters
         for lvl, m in enumerate(maps):
-            k = sizes[lvl + 1]
-            if m.shape != (sizes[lvl],):
-                raise InputError(f"level-{lvl} map has length {m.shape}, expected {sizes[lvl]}")
-            if np.any(m < 0) or np.any(m >= k):
-                if lvl == 0:
-                    bad = int(np.argmax((m < 0) | (m >= k)))
-                    raise UnmappedStock(self.tickers[bad])
-                raise InputError(f"level-{lvl} map has out-of-range cluster indices")
-            if np.count_nonzero(np.bincount(m, minlength=k)) != k:
-                missing = sorted(set(range(k)) - set(m.tolist()))
-                raise InputError(f"empty level-{lvl + 1} cluster(s): {missing}")
+            k = len(units[lvl + 1])
+            if m.shape != (len(units[lvl]),):
+                raise InputError(f"level-{lvl} map has length {m.shape}, expected {len(units[lvl])}")
+            require_each((0 <= m) & (m < k), lambda i: UnmappedStock(self.tickers[i]) if lvl == 0 else InputError(
+                f"level-{lvl} cluster {units[lvl][i]!r} maps to {m[i]}, outside the {k} level-{lvl + 1} clusters"))
+            require_each(np.bincount(m, minlength=k) > 0,
+                         lambda a: InputError(f"empty level-{lvl + 1} cluster {units[lvl + 1][a]!r}"))
             m.setflags(write=False)
 
     @property
@@ -155,11 +152,8 @@ class BetaVector:
         object.__setattr__(self, "values", values)
         if values.shape != (len(self.tickers),):
             raise InvalidBeta(f"length {values.shape} does not match {len(self.tickers)} tickers")
-        if not np.all(np.isfinite(values)):
-            raise InvalidBeta("non-finite entries")
-        if np.any(values <= 0.0):
-            bad = self.tickers[int(np.argmax(values <= 0.0))]
-            raise InvalidBeta(f"non-positive beta for {bad!r}")
+        require_each((0.0 < values) & (values < np.inf),
+                     lambda i: InvalidBeta(f"beta of {self.tickers[i]!r} must be finite and positive, got {values[i]}"))
         values.setflags(write=False)
 
 
@@ -544,9 +538,8 @@ def load_classification_csv(path: str | os.PathLike, panel: ReturnsPanel) -> Cla
             if cell == "":
                 raise InputError(f"{path}: empty level-{c + 1} label on row {r}")
         by_ticker[row[0]] = tuple(row[1:])
-    for ticker in panel.tickers:
-        if ticker not in by_ticker:
-            raise UnmappedStock(ticker)
+    mapped = np.array([ticker in by_ticker for ticker in panel.tickers])
+    in_file(path, require_each, mapped, lambda i: UnmappedStock(panel.tickers[i]))
     return in_file(path, tree_from_labels, panel.tickers, [by_ticker[t] for t in panel.tickers])
 
 
@@ -558,8 +551,8 @@ def tree_from_labels(tickers, labels) -> ClassificationTree:
     """
     tickers = tuple(tickers)
     p = len(labels[0])
-    if any(len(row) != p for row in labels):
-        raise InputError("classification rows have differing level counts")
+    require_each(np.array([len(row) == p for row in labels]), lambda i: InputError(
+        f"classification rows have differing level counts: {tickers[i]!r} has {len(labels[i])}, expected {p}"))
     level_names: list[tuple[str, ...]] = []
     parent_maps: list[np.ndarray] = []
     # a level's units: the stocks at level 1, else the clusters of the level below
@@ -598,9 +591,8 @@ def validate_tree(tree: ClassificationTree, panel: ReturnsPanel) -> list[Singlet
     clusters only warn because they are legal but statistically fragile.
     """
     if tree.tickers != panel.tickers:
-        missing = set(panel.tickers) - set(tree.tickers)
-        if missing:
-            raise UnmappedStock(sorted(missing)[0])
+        in_tree = set(tree.tickers)
+        require_each(np.array([t in in_tree for t in panel.tickers]), lambda i: UnmappedStock(panel.tickers[i]))
         raise InputError("tree and panel tickers differ (order or extras)")
     return [
         SingletonCluster(lvl, tree.level_names[lvl - 1][a])

@@ -3,7 +3,9 @@
 The three bases group failures by who can fix them: bad inputs (files,
 settings, shapes), numerical preconditions of the model construction, and
 an optimizer that does not converge or whose solution fails its optimality
-certificate. The CLI maps them to exit codes 2, 3 and 4.
+certificate. The CLI maps them to exit codes 2, 3 and 4. A per-stock or
+per-cluster rule refuses through ``require_each``, naming the first stock or
+cluster that breaks it.
 """
 
 
@@ -26,6 +28,13 @@ def in_file(path, build, *args):
     except (InputError, ModelError) as exc:
         exc.args = (f"{path}: {exc}",)
         raise
+
+
+def require_each(ok, error):
+    """Raise ``error(i)`` for the first index ``i`` where the boolean array
+    ``ok`` is False. Write the rule so that NaN fails it."""
+    if not ok.all():
+        raise error(int(ok.argmin()))
 
 
 class MissingInputFile(InputError):

@@ -23,6 +23,7 @@ from .errors import (
     NoConvergence,
     SingularCovariance,
     SolverError,
+    require_each,
 )
 from .risk_model import RussianDollModel
 
@@ -74,15 +75,18 @@ class OverlayProblem:
                 raise InputError(f"{name} has shape {arr.shape}, expected {(n,)}")
         if q.ndim != 2 or q.shape[0] != n or q.shape[1] < 1:
             raise InputError(f"constraint matrix has shape {q.shape}, expected ({n}, p)")
+        tickers = self.model.tree.tickers
         for name, arr in (("expected return", e), ("benchmark weight", w_star),
                           ("lower bound", lower), ("upper bound", upper)):
-            _require_each(np.isfinite(arr), name + " of stock {!r} is not finite", self.model)
-        _require_each(w_star > 0.0, "benchmark weight of stock {!r} is not strictly positive", self.model)
+            require_each(np.isfinite(arr), lambda i: InputError(f"{name} of stock {tickers[i]!r} is not finite"))
+        require_each(w_star > 0.0,
+                     lambda i: InputError(f"benchmark weight of stock {tickers[i]!r} is not strictly positive"))
         if abs(w_star.sum() - 1.0) > 1e-8:
             raise InputError("benchmark weights must sum to 1 (renormalize first)")
-        _require_each((lower <= 0.0) & (upper >= 0.0), "bounds of stock {!r} break lower <= 0 <= upper", self.model)
-        _require_each(lower >= -w_star - 1e-12, "lower bound of stock {!r} is below minus its benchmark weight",
-                      self.model)
+        require_each((lower <= 0.0) & (upper >= 0.0),
+                     lambda i: InputError(f"bounds of stock {tickers[i]!r} break lower <= 0 <= upper"))
+        require_each(lower >= -w_star - 1e-12, lambda i: InputError(
+            f"lower bound of stock {tickers[i]!r} is below minus its benchmark weight"))
         if not np.allclose(q[:, 0], 1.0):
             raise InputError("first constraint column must be the unit vector (dollar neutrality)")
         svals = np.linalg.svd(q, compute_uv=False)
@@ -139,14 +143,6 @@ class OverlayResult:
     eq_residual: float
 
 
-def _require_each(ok: np.ndarray, message: str, model: RussianDollModel) -> None:
-    """Raise ``InputError`` with ``message`` naming the ticker of the first
-    stock of ``model`` where the per-stock rule ``ok`` fails."""
-    broken = np.flatnonzero(~ok)
-    if broken.size:
-        raise InputError(message.format(model.tree.tickers[broken[0]]))
-
-
 def check_modes(modes) -> None:
     """Raise ``InputError`` naming every mode outside ``CONSTRAINT_MODES``."""
     unknown = set(modes) - set(CONSTRAINT_MODES)
@@ -185,8 +181,8 @@ def make_overlay_problem(
     if w.shape != (model.n_stocks,):
         raise InputError(f"w_star has shape {w.shape}, expected {(model.n_stocks,)}")
     # checked before normalizing, which spreads a NaN and makes all-negative weights positive
-    _require_each(np.isfinite(w), "benchmark weight of stock {!r} is not finite", model)
-    _require_each(w > 0.0, "benchmark weight of stock {!r} is not strictly positive", model)
+    require_each((0.0 < w) & (w < math.inf), lambda i: InputError(
+        f"benchmark weight of stock {model.tree.tickers[i]!r} is not finite and strictly positive"))
     w = w / w.sum()
     if (lower is None or upper is None) and not 0.0 < band < math.inf:
         raise InputError(f"band must be positive and finite, got {band}")
@@ -527,7 +523,8 @@ def combine(w_star: np.ndarray, w_prime: np.ndarray, model: RussianDollModel) ->
     """
     w_star = np.asarray(w_star, dtype=float)
     w_prime = np.asarray(w_prime, dtype=float)
-    _require_each(np.isfinite(w_prime), "sleeve weight of stock {!r} is not finite", model)
+    require_each(np.isfinite(w_prime),
+                 lambda i: InputError(f"sleeve weight of stock {model.tree.tickers[i]!r} is not finite"))
     total = w_star + w_prime
     if np.any(total < -1e-12):
         bad = int(np.argmin(total))

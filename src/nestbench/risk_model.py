@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .data_model import BetaVector, ClassificationTree, ReturnsPanel, cluster_members, read_json, write_json
-from .errors import InputError, InvalidVariance, NegativeSpecificVariance, in_file
+from .errors import InputError, InvalidVariance, NegativeSpecificVariance, in_file, require_each
 
 
 @dataclass(frozen=True)
@@ -66,14 +66,13 @@ def fit_theta(
     b = np.asarray(loadings, dtype=float)
     d = np.asarray(diag, dtype=float)
     clusters = np.asarray(clusters)
-    if not np.all(np.isfinite(b)) or np.any(b == 0.0):
-        raise InvalidVariance("loadings must be finite and nonzero")
-    if not np.all(d > 0.0) or not np.all(np.isfinite(d)):
-        raise InvalidVariance("variances must be strictly positive and finite")
+    require_each(np.isfinite(b) & (b != 0.0),
+                 lambda i: InvalidVariance(f"loadings must be finite and nonzero; unit {i} has {b[i]}"))
+    require_each((0.0 < d) & (d < np.inf), lambda i: InvalidVariance(
+        f"variances must be strictly positive and finite; unit {i} has {d[i]}"))
     counts = np.bincount(clusters)
     k = len(counts)
-    if not counts.all():
-        raise InputError(f"cluster {int(np.argmin(counts))} of the cluster map has no members")
+    require_each(counts > 0, lambda a: InputError(f"cluster {a} of the cluster map has no members"))
     groups = cluster_members(clusters, k)
     b2 = b**2 / d  # squared standardized loadings, u_i^2 d_i
     t_min, t_max = _theta_bounds(b2, clusters, k, cfg)
@@ -121,35 +120,29 @@ class RussianDollModel:
 
     def __post_init__(self):
         xi2 = np.array(self.xi2, dtype=float)
-        object.__setattr__(self, "xi2", xi2)
         zeta2 = tuple(np.array(z, dtype=float) for z in self.zeta2)
-        object.__setattr__(self, "zeta2", zeta2)
         fitted = tuple(np.array(g, dtype=float) for g in self.fitted_cluster_var)
-        object.__setattr__(self, "fitted_cluster_var", fitted)
-        p = self.tree.n_levels
-        counts = self.tree.cluster_counts
-        n = len(self.tree.tickers)
-        if self.beta.tickers != self.tree.tickers:
+        for key, value in (("xi2", xi2), ("zeta2", zeta2), ("fitted_cluster_var", fitted)):
+            object.__setattr__(self, key, value)
+        tree = self.tree
+        if self.beta.tickers != tree.tickers:
             raise InputError("beta and tree tickers differ")
-        if xi2.shape != (n,) or np.any(xi2 <= 0.0) or not np.all(np.isfinite(xi2)):
-            raise InvalidVariance("stock specific variances must be strictly positive")
-        if len(zeta2) != p or len(fitted) != p:
-            raise InputError(f"expected {p} levels of cluster data")
-        # each rule is written so that NaN fails it
-        for lvl in range(p):
-            if zeta2[lvl].shape != (counts[lvl],) or not np.all((0.0 <= zeta2[lvl]) & (zeta2[lvl] < np.inf)):
-                raise InvalidVariance(f"level-{lvl + 1} specific variances must be finite and nonnegative")
-            if fitted[lvl].shape != (counts[lvl],):
-                raise InputError(f"level-{lvl + 1} fitted variances have wrong length")
-            if not np.all((0.0 <= fitted[lvl]) & (fitted[lvl] < np.inf)):
-                raise InvalidVariance(f"level-{lvl + 1} fitted variances must be finite and nonnegative")
+        if len(zeta2) != tree.n_levels or len(fitted) != tree.n_levels:
+            raise InputError(f"expected {tree.n_levels} levels of cluster data")
+        # (field, values, the names of its entries, what they are, the rule they keep)
+        rules = [("xi2", xi2, tree.tickers, "stock specific variance", "positive")]
+        for lvl, names in enumerate(tree.level_names, start=1):
+            rules += [("zeta2", zeta2[lvl - 1], names, f"level-{lvl} specific variance", "nonnegative"),
+                      ("fitted_cluster_var", fitted[lvl - 1], names, f"level-{lvl} fitted variance", "nonnegative")]
+        for key, values, names, what, sign in rules:
+            if values.shape != (len(names),):
+                raise InputError(f"{what}s {key!r} have shape {values.shape}, expected {(len(names),)}")
+            low_ok = values > 0.0 if sign == "positive" else values >= 0.0
+            require_each(low_ok & (values < np.inf), lambda i: InvalidVariance(
+                f"{what} of {names[i]!r} must be finite and {sign}, got {values[i]}"))
+            values.setflags(write=False)
         if not 0.0 <= self.top_var < np.inf:
             raise InvalidVariance(f"top-level variance must be finite and nonnegative, got {self.top_var}")
-        for z in zeta2:
-            z.setflags(write=False)
-        for g in fitted:
-            g.setflags(write=False)
-        xi2.setflags(write=False)
 
     @property
     def n_stocks(self) -> int:
@@ -223,11 +216,12 @@ def build_russian_doll(
     t = panel.n_periods
     series = (panel.values - panel.values.mean(axis=1, keepdims=True)) / np.sqrt(t - 1)
     diag = np.einsum("ij,ij->i", series, series)
-    if np.any(diag <= 0.0):
-        bad = tree.tickers[int(np.argmax(diag <= 0.0))]
-        raise InvalidVariance(f"stock {bad!r} has zero sample variance")
+    require_each(diag > 0.0, lambda i: InvalidVariance(f"stock {tree.tickers[i]!r} has zero sample variance"))
     b = np.array(beta.values, dtype=float)
-    _check_admissible(cfg, tree, b**2 / diag)
+    b2 = b**2 / diag  # squared standardized betas
+    t_min, t_max = _theta_bounds(b2, tree.parent_maps[0], tree.cluster_counts[0], cfg)
+    require_each(t_min <= t_max, lambda a: _too_dispersed(cfg, tree, b2, a))
+    names = (tree.tickers, *tree.level_names)  # the units each level fits: stocks, then each level's clusters
     specific: list[np.ndarray] = []
     fitted: list[np.ndarray] = []
     levels = (*tree.parent_maps, np.zeros(tree.cluster_counts[-1], dtype=np.int64))
@@ -237,20 +231,20 @@ def build_russian_doll(
         else:
             g_fit = np.zeros(1)
         spec = diag - b**2 * g_fit[clusters]
-        _check_positive_specific(spec, lvl - 1, tree)
+        require_each(spec > 0.0, lambda i: NegativeSpecificVariance(
+            lvl - 1, names[lvl - 1][i], f"specific variance {spec[i]:.6g} is not positive"))
         specific.append(spec)
         if lvl > p:
             break
         fitted.append(g_fit)
-        if np.any(g_fit <= 0.0):  # only at z_max = 1: a singleton's fit, or one clamped to t_min, is 0
-            bad = tree.level_names[lvl - 1][int(np.argmax(g_fit <= 0.0))]
-            raise InvalidVariance(f"level-{lvl} cluster {bad!r} has zero fitted variance; set z_max below 1")
+        # fails only at z_max = 1: a singleton's fit, or one clamped to t_min, is 0
+        require_each(g_fit > 0.0, lambda a: InvalidVariance(
+            f"level-{lvl} cluster {names[lvl][a]!r} has zero fitted variance; set z_max below 1"))
         # cluster series: member sums rescaled so their variances are the fits
         sums = np.stack([series[idx].sum(axis=0) for idx in cluster_members(clusters, len(g_fit))])
         agg_diag = np.einsum("ij,ij->i", sums, sums)
-        if np.any(agg_diag <= 0.0):
-            bad = tree.level_names[lvl - 1][int(np.argmax(agg_diag <= 0.0))]
-            raise InvalidVariance(f"aggregated variance of cluster {bad!r} is not positive")
+        require_each(agg_diag > 0.0, lambda a: InvalidVariance(
+            f"aggregated variance of cluster {names[lvl][a]!r} is not positive"))
         series = sums * np.sqrt(g_fit / agg_diag)[:, None]
         diag = g_fit
         b = np.ones(len(g_fit))
@@ -267,16 +261,11 @@ def build_russian_doll(
     )
 
 
-def _check_admissible(cfg, tree, b2):
-    """Abort when a level-1 cluster's standardized betas are so dispersed
-    that the fit bounds conflict; clamping would silently mask the modeling
-    error. ``b2`` holds the stocks' squared standardized betas."""
-    clusters = tree.parent_maps[0]
-    t_min, t_max = _theta_bounds(b2, clusters, tree.cluster_counts[0], cfg)
-    if np.all(t_min <= t_max):
-        return
-    cluster = int(np.argmax(t_min > t_max))
-    idx = np.flatnonzero(clusters == cluster)
+def _too_dispersed(cfg, tree, b2, cluster) -> NegativeSpecificVariance:
+    """The refusal of a level-1 ``cluster`` whose standardized betas are so
+    dispersed that the fit bounds conflict; clamping would silently mask the
+    modeling error. ``b2`` holds the stocks' squared standardized betas."""
+    idx = np.flatnonzero(tree.parent_maps[0] == cluster)
     b_hat = np.sqrt(b2[idx])
     limit = cfg.max_loading_dispersion
     cutoff_hi = b_hat.min() * limit
@@ -285,23 +274,12 @@ def _check_admissible(cfg, tree, b2):
         for j, i in enumerate(idx)
         if b_hat[j] > cutoff_hi or b_hat[j] * limit < b_hat.max()
     ]
-    raise NegativeSpecificVariance(
+    return NegativeSpecificVariance(
         0,
         tree.level_names[0][cluster],
         f"beta/sigma dispersion {b_hat.max() / b_hat.min():.4g} exceeds the "
         f"admissible ratio {limit:.4g}; offending stocks: {', '.join(offenders)}",
     )
-
-
-def _check_positive_specific(spec, level, tree):
-    if not np.any(spec <= 0.0):
-        return
-    bad = int(np.argmax(spec <= 0.0))
-    if level == 0:
-        name = tree.tickers[bad]
-    else:
-        name = tree.level_names[level - 1][bad]
-    raise NegativeSpecificVariance(level, name, f"specific variance {spec[bad]:.6g} is not positive")
 
 
 # Dense N x N forms for the tests' checks; no command calls them. cli.py and
@@ -353,21 +331,43 @@ def model_to_dict(model: RussianDollModel) -> dict:
 
 _SNAPSHOT_KEYS = ("tickers", "level_names", "parent_maps", "beta", "xi2", "zeta2", "top_var",
                   "fitted_cluster_var", "mkt_fac", "configs")
+# how many lists deep each key's entries sit, their exact JSON types, and what those are called
+_NUMBER, _INTEGER, _STRING = ((int, float), "a number"), ((int,), "an integer"), ((str,), "a string")
+_ENTRY_TYPES = {"tickers": (1, *_STRING), "level_names": (2, *_STRING), "parent_maps": (2, *_INTEGER),
+                "beta": (1, *_NUMBER), "xi2": (1, *_NUMBER), "zeta2": (2, *_NUMBER), "top_var": (0, *_NUMBER),
+                "fitted_cluster_var": (2, *_NUMBER), "mkt_fac": (0, (bool,), "true or false"), "chi": (1, *_NUMBER)}
+
+
+def _check_entries(key, value, depth, types, kind) -> None:
+    """Refuse, naming ``key``, a JSON ``value`` other than ``depth`` nested
+    lists of entries whose exact type is one of ``types``."""
+    entries = [value]
+    for d in range(depth + 1):
+        allowed, what = ((list,), "a list") if d < depth else (types, kind)
+        for entry in entries:
+            if type(entry) not in allowed:
+                raise InputError(f"key {key!r} holds {entry!r:.40} where {what} belongs")
+        if d < depth:
+            entries = [item for entry in entries for item in entry]
 
 
 def model_from_dict(data: dict) -> RussianDollModel:
     """Inverse of ``model_to_dict``. Also reads snapshots that still carry
     the former per-level cluster loadings ``chi``, which were always 1. A
-    snapshot that lacks a key, or whose ``configs`` are not bands, is an
-    ``InputError`` naming the key."""
+    snapshot that lacks a key, holds an entry of the wrong JSON type, or
+    whose ``configs`` are not bands, is an ``InputError`` naming the key."""
     missing = [key for key in _SNAPSHOT_KEYS if key not in data]
     if missing:
         raise InputError(f"model snapshot lacks key {missing[0]!r}")
+    for key, (depth, types, kind) in _ENTRY_TYPES.items():
+        if key in data:  # every key but the optional chi
+            _check_entries(key, data[key], depth, types, kind)
     configs = data["configs"]
     if not isinstance(configs, list) or not all(isinstance(c, dict) and {"z_min", "z_max"} <= c.keys()
                                                 for c in configs):
         raise InputError(f"key 'configs' must list bands with keys 'z_min' and 'z_max', got {configs!r}")
-    if any(float(c) != 1.0 for c in data.get("chi", ())):
+    _check_entries("configs", [c[z] for c in configs for z in ("z_min", "z_max")], 1, *_NUMBER)
+    if any(c != 1.0 for c in data.get("chi", ())):
         raise InputError(f"cluster loadings chi must all be 1, got {data['chi']}")
     bands = {(c["z_min"], c["z_max"]) for c in configs}
     if len(bands) != 1:
@@ -385,7 +385,7 @@ def model_from_dict(data: dict) -> RussianDollModel:
         zeta2=tuple(np.asarray(z, dtype=float) for z in data["zeta2"]),
         top_var=float(data["top_var"]),
         fitted_cluster_var=tuple(np.asarray(g, dtype=float) for g in data["fitted_cluster_var"]),
-        mkt_fac=bool(data["mkt_fac"]),
+        mkt_fac=data["mkt_fac"],
         cfg=ThetaFitConfig(*bands.pop()),
     )
 

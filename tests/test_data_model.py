@@ -705,7 +705,7 @@ class TestLoadClassification:
     def test_missing_ticker(self, tmp_path):
         panel = self._panel(["A", "B"])
         path = _write(tmp_path / "c.csv", "ticker,sub\nA,s1\n")
-        with pytest.raises(UnmappedStock) as err:
+        with pytest.raises(UnmappedStock, match=re.escape(f"{path}: stock 'B'")) as err:
             load_classification_csv(path, panel)
         assert err.value.ticker == "B"
 

@@ -30,7 +30,7 @@ from nestbench import (
     optimize_mvo,
     tree_from_labels,
 )
-from nestbench.errors import InputError, InvalidVariance, NegativeSpecificVariance, UnmappedStock
+from nestbench.errors import InputError, InvalidBeta, InvalidVariance, NegativeSpecificVariance, UnmappedStock
 from nestbench.risk_model import assemble_dense
 
 DEFAULT = ThetaFitConfig()
@@ -468,7 +468,16 @@ class TestSerialization:
         ("xi2", lambda data: data.pop("xi2")),
         ("z_max", lambda data: data.update(configs=data["configs"][:-1] + [{"z_min": 0.1}])),
         ("configs", lambda data: data.update(configs="z_min=0.1,z_max=0.9")),
-    ], ids=["xi2-missing", "entry-without-z_max", "configs-string"])
+        ("parent_maps", lambda data: data["parent_maps"][0].__setitem__(1, 0.7)),
+        ("mkt_fac", lambda data: data.update(mkt_fac="false")),
+        ("beta", lambda data: data["beta"].__setitem__(2, "1.2")),
+        ("xi2", lambda data: data["xi2"].pop()),
+        ("chi", lambda data: data.update(chi=["x"])),
+        ("configs", lambda data: data.update(configs=[{"z_min": "0.1", "z_max": 0.9}] * len(data["configs"]))),
+        ("tickers", lambda data: data.update(tickers="S0001")),
+        ("level_names", lambda data: data["level_names"][0].__setitem__(0, 7)),
+    ], ids=["xi2-missing", "entry-without-z_max", "configs-string", "map-entry-not-integer", "mkt_fac-string",
+            "beta-string", "xi2-one-short", "chi-string", "z_min-string", "tickers-string", "level-name-number"])
     def test_broken_snapshot_names_file_and_key(self, tmp_path, key, damage):
         from nestbench import load_model
 
@@ -501,6 +510,39 @@ class TestSerialization:
         with pytest.raises(UnmappedStock, match=f"^{re.escape(str(path))}: stock ") as err:
             nestbench.load_model(path)
         assert err.value.ticker == data["tickers"][-1]
+
+    @pytest.mark.parametrize("bad", [float("nan"), -1.0], ids=["nan", "negative"])
+    @pytest.mark.parametrize("key, error", [("xi2", InvalidVariance), ("beta", InvalidBeta),
+                                            ("zeta2", InvalidVariance), ("fitted_cluster_var", InvalidVariance)])
+    def test_bad_entry_names_the_stock_or_cluster_and_the_file(self, tmp_path, key, error, bad):
+        data = model_to_dict(random_instance(8, n_range=(6, 12), p_range=(2, 2)).model)
+        per_stock = key in ("xi2", "beta")
+        (data[key] if per_stock else data[key][0])[2] = bad
+        name = (data["tickers"] if per_stock else data["level_names"][0])[2]
+        path = _saved(tmp_path, data)
+        with pytest.raises(error, match=f"^{re.escape(str(path))}: .*'{name}'"):
+            nestbench.load_model(path)
+
+    def test_level_2_map_entry_out_of_range_names_the_cluster_and_the_file(self, tmp_path):
+        data = model_to_dict(random_instance(8, n_range=(6, 12), p_range=(2, 2)).model)
+        data["parent_maps"][1][2] = len(data["level_names"][1])
+        path = _saved(tmp_path, data)
+        with pytest.raises(InputError, match=re.escape(f"{path}: level-1 cluster {data['level_names'][0][2]!r} maps")):
+            nestbench.load_model(path)
+
+    def test_empty_cluster_is_named_with_the_file(self, tmp_path):
+        data = model_to_dict(random_instance(8, n_range=(6, 12), p_range=(2, 2)).model)
+        data["parent_maps"][0] = [0 if c == 1 else c for c in data["parent_maps"][0]]
+        path = _saved(tmp_path, data)
+        with pytest.raises(InputError, match=re.escape(f"{path}: empty level-1 cluster {data['level_names'][0][1]!r}")):
+            nestbench.load_model(path)
+
+
+def _saved(tmp_path, data):
+    """``data`` written as ``model.json`` under ``tmp_path``; its path."""
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(data))
+    return path
 
 
 def test_dense_helpers_are_not_public_names():
