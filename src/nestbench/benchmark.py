@@ -1,7 +1,7 @@
 """Benchmark weight construction.
 
 A fitted nested model turns into strictly positive weights through one
-nested solve, a product of per-level normalization factors. Beta
+nested pass, a product of per-level normalization factors. Beta
 construction, serial-regression betas among it, lives here too.
 """
 
@@ -64,17 +64,17 @@ def benchmark_weights(model: RussianDollModel) -> BenchmarkResult:
 
     Pure algebra on the model: w = sigma_f2 * Gamma^-1 beta with
     sigma_f2 = 1 / beta' Gamma^-1 beta, so the weighted betas sum to one.
-    The nested solve with v = beta is the product formula: each stock's beta
-    over its specific variance times one normalization factor per ancestor
-    cluster. ``gamma`` holds the product of those factors per level-1 cluster.
+    Gamma^-1 beta is the product formula: each stock's beta over its
+    specific variance times ``gamma``, the product of one normalization
+    factor per ancestor cluster, one value per level-1 cluster.
     """
     beta = model.beta.values
-    x = model.solve(beta)
+    g0 = beta / model.xi2
+    _, gamma = model.cluster_factors(g0, g0[None])
+    x = g0 * gamma[model.tree.parent_maps[0]]
     inv_sigma2 = float(np.einsum("i,i->", beta, x))
     if not inv_sigma2 > 0.0:
         raise DegenerateModel("implied benchmark variance is not positive")
-    g0 = model.tree.parent_maps[0]
-    gamma = np.bincount(g0, x * model.xi2 / beta) / np.bincount(g0)
     return BenchmarkResult(model.tree.tickers, x / inv_sigma2, 1.0 / inv_sigma2, gamma)
 
 

@@ -97,8 +97,7 @@ class ClassificationTree:
     parent_maps: tuple[np.ndarray, ...] = field(repr=False)
 
     def __post_init__(self):
-        maps = tuple(np.array(m, dtype=np.int64) for m in self.parent_maps)
-        object.__setattr__(self, "parent_maps", maps)
+        maps = [np.array(m) for m in self.parent_maps]  # cast to int64 once checked integral
         p = len(self.level_names)
         if p < 1:
             raise InputError("classification needs at least one level")
@@ -109,11 +108,15 @@ class ClassificationTree:
             k = len(units[lvl + 1])
             if m.shape != (len(units[lvl]),):
                 raise InputError(f"level-{lvl} map has length {m.shape}, expected {len(units[lvl])}")
+            require_each(np.isfinite(m) & (m == np.round(m)), lambda i: InputError(
+                f"level-{lvl} map entry {m[i]} of {units[lvl][i]!r} is not a level-{lvl + 1} cluster index"))
+            maps[lvl] = m = m.astype(np.int64)
             require_each((0 <= m) & (m < k), lambda i: UnmappedStock(self.tickers[i]) if lvl == 0 else InputError(
                 f"level-{lvl} cluster {units[lvl][i]!r} maps to {m[i]}, outside the {k} level-{lvl + 1} clusters"))
             require_each(np.bincount(m, minlength=k) > 0,
                          lambda a: InputError(f"empty level-{lvl + 1} cluster {units[lvl + 1][a]!r}"))
             m.setflags(write=False)
+        object.__setattr__(self, "parent_maps", tuple(maps))
 
     @property
     def n_levels(self) -> int:

@@ -4,7 +4,7 @@ A dollar-neutral sleeve is optimized against the nested risk model under
 box bounds and homogeneous linear constraints, its risk-aversion scale tuned
 by golden-section search on the combined portfolio's expected Sharpe ratio,
 and the sleeve added to the benchmark so the total stays long-only. The
-model enters only through its O(N P) ``matvec`` and ``solve``; no N x N
+model enters only through its O(N + P K1) ``matvec`` and ``solve``; no N x N
 matrix is formed.
 """
 
@@ -200,10 +200,10 @@ def residualize(expected_returns: np.ndarray, w_star: np.ndarray) -> np.ndarray:
     benchmark."""
     e = np.asarray(expected_returns, dtype=float)
     w = np.asarray(w_star, dtype=float)
-    denom = float(w @ w)
+    denom = float(_dot(w, w))
     if denom <= 0.0:
         raise DegenerateRegression("sum of squared benchmark weights is not positive")
-    return e - float(w @ e) / denom * w
+    return e - float(_dot(w, e)) / denom * w
 
 
 def optimize_mvo(problem: OverlayProblem, gamma_prime: float, start: np.ndarray | None = None) -> np.ndarray:
@@ -218,29 +218,32 @@ def optimize_mvo(problem: OverlayProblem, gamma_prime: float, start: np.ndarray 
     gamma'), with every coordinate of ``start`` that sits exactly on a bound
     active there; the result depends on the final active set alone. Gamma
     is not an M-matrix, so if the steps revisit an active set, or stop on
-    one where Q'w = 0 is out of reach, the loop starts again from w = 0 and
-    walks: it steps toward a solution that breaks bounds only as far as the
-    first bound it hits, and once feasible releases the single worst
-    wrong-signed bound, so the objective rises monotonically and no set
-    recurs. Both rules share 100 (N + 1) iterations, then NoConvergence.
+    one where Q'w = 0 is out of reach, the loop walks from ``start`` if it is
+    feasible, else from w = 0: it steps toward a solution that breaks bounds
+    only as far as the first bound it hits, and once feasible releases the
+    single worst wrong-signed bound, so the objective rises monotonically and
+    no set recurs. Both rules share 100 (N + 1) iterations, then NoConvergence.
     """
     if gamma_prime <= 0.0:
         raise InputError("gamma_prime must be positive")
     curvature = 2.0 / gamma_prime  # the Hessian is curvature * Gamma
     q = problem.constraints
     lower, upper, near, at_lower, at_upper = _cold_start(problem)
+    feasible_start = None  # neither the box nor Q'w = 0 depends on gamma'
     if start is not None:
         at_lower |= start == lower
         at_upper = (start == upper) & ~at_lower
+        if np.all((lower <= start) & (start <= upper)) and np.abs(_dot(q, start)).max() <= _FEAS_TOL:
+            feasible_start = (start, at_lower.copy(), at_upper.copy())
     max_iter = 100 * (problem.n_stocks + 1)
-    w = np.zeros(problem.n_stocks)  # the walk's point, always feasible: bounds straddle zero and Q'0 = 0
     seen, walking = set(), False
     for _ in range(max_iter):
         if not walking:
             key = (at_lower.tobytes(), at_upper.tobytes())
             if key in seen:
                 walking = True
-                *_, at_lower, at_upper = _cold_start(problem)
+                # else from w = 0, feasible as bounds straddle zero and Q'0 = 0
+                w, at_lower, at_upper = feasible_start or (np.zeros(problem.n_stocks), *_cold_start(problem)[3:])
             seen.add(key)
         free = ~(at_lower | at_upper)
         w_fixed = np.where(at_lower, lower, 0.0) + np.where(at_upper, upper, 0.0)
@@ -331,7 +334,7 @@ def _solve_equality_qp(model, curvature, e, q, free, w_fixed):
     fixed, subject to Q'w = 0, with H = curvature * Gamma.
 
     w_F = a - Y mu, with a = H_FF^-1 (e - H w_fixed)_F and Y = H_FF^-1 Q_F
-    from nested solves, leaves the p x p Schur system (Q_F' Y) mu =
+    from one nested solve, leaves the p x p Schur system (Q_F' Y) mu =
     Q'(a + w_fixed). Directions of mu the free rows of Q leave open are
     dropped from it, never divided by a pivot that is zero to rounding, and
     returned as ``null``; one refinement pass restores Q'w = 0.
@@ -340,8 +343,8 @@ def _solve_equality_qp(model, curvature, e, q, free, w_fixed):
     if not free.any():
         return w_fixed.copy(), np.zeros(p), np.eye(p)
     r = e - curvature * model.matvec(w_fixed)
-    a = model.solve(r, free) / curvature
-    y = np.column_stack([model.solve(q[:, j], free) for j in range(p)]) / curvature
+    ay = model.solve(np.column_stack([r, q]), free) / curvature
+    a, y = ay[:, 0], ay[:, 1:]
     schur = np.einsum("ij,ik->jk", q, y)
     scale = 1.0 / np.sqrt(np.diag(schur))
     lam, vec = np.linalg.eigh(scale[:, None] * schur * scale)

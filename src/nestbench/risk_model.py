@@ -2,14 +2,12 @@
 
 Fits one factor variance per cluster, a whole level in one call, by least
 squares on off-diagonal correlations (bounded by specific-risk fractions)
-taken from the members' series sums, aggregates the return series level by
-level without forming the N x N covariance or any cluster block, and applies
-the fitted covariance and its inverse in O(N P). Stock loadings are the
-betas; cluster loadings above level 0 are exactly 1 (any positive rescale is
-absorbed by the parent covariance and changes nothing), so they are not
-stored. ``sample_covariance`` and ``assemble_dense`` return a dense N x N
-covariance as a plain array for the tests and the benchmark's tracer only;
-``nestbench`` does not export them.
+taken from the members' series sums, and aggregates the return series level
+by level, without forming the N x N covariance or any cluster block. The
+fitted covariance and its inverse apply in O(N + P K1) from level-1 cluster
+sums. Stock loadings are the betas; cluster loadings above level 0 are
+exactly 1 (any positive rescale is absorbed by the parent covariance), so
+they are not stored. ``nestbench`` does not export the dense forms below.
 """
 
 from __future__ import annotations
@@ -150,47 +148,43 @@ class RussianDollModel:
 
     @cached_property
     def _levels(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """(stock -> cluster map, cluster specific variances) per level, then
-        the market as one cluster of every stock."""
-        maps = [self.tree.stock_clusters(lvl) for lvl in range(1, self.tree.n_levels + 1)]
-        market = (np.zeros(self.n_stocks, dtype=np.int64), np.array([self.top_var]))
-        return tuple(zip(maps, self.zeta2)) + (market,)
+        """(level-1 cluster -> level-l cluster map, level-l specific variances) per level, then the market."""
+        maps = [np.arange(self.tree.cluster_counts[0])]
+        for parent in self.tree.parent_maps[1:]:
+            maps.append(parent[maps[-1]])
+        return tuple(zip(maps, self.zeta2)) + ((np.zeros_like(maps[0]), np.array([self.top_var])),)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        """Gamma v in O(N P), without forming Gamma."""
-        v = np.asarray(v, dtype=float)
-        beta = self.beta.values
-        out = self.xi2 * v
-        for clusters, zeta in self._levels:
-            out += beta * (zeta * np.bincount(clusters, beta * v, minlength=len(zeta)))[clusters]
-        return out
+        """Gamma v in O(N + P K1): every level reads the level-1 cluster sums of beta v."""
+        beta, g1 = self.beta.values, self.tree.parent_maps[0]
+        sums = np.bincount(g1, beta * v)
+        return self.xi2 * v + beta * sum((zeta * np.bincount(m, sums))[m] for m, zeta in self._levels)[g1]
 
     def solve(self, v: np.ndarray, free: np.ndarray | None = None) -> np.ndarray:
-        """Gamma^-1 v in O(N P), by the Woodbury identity level by level.
-
-        With a boolean mask ``free``, the solve on the principal submatrix
-        Gamma_FF, zero off F: a nested model without some stocks is nested
-        again, so the recursion runs with their betas and entries zeroed.
-        Each level divides by 1 + zeta * lambda >= 1, so clusters without
-        free members need no special case. With ``v = beta`` this is the
-        product formula of the benchmark weights.
-        """
-        beta = self.beta.values
-        x = np.asarray(v, dtype=float) / self.xi2
+        """Gamma^-1 v for an N-vector or N x k ``v``, in O(N k + P K1 k). With a
+        boolean mask ``free``, the solve on the principal submatrix Gamma_FF,
+        zero off F: a nested model without some stocks is nested again."""
+        v = np.asarray(v, dtype=float)
+        x0, g0 = v.reshape(len(v), -1).T / self.xi2, self.beta.values / self.xi2
         if free is not None:
-            beta = np.where(free, beta, 0.0)
-            x = np.where(free, x, 0.0)
-        g = beta / self.xi2  # Gamma^-1 beta for the levels applied so far
+            x0, g0 = np.where(free, x0, 0.0), np.where(free, g0, 0.0)
+        a, _ = self.cluster_factors(g0, x0)
+        return (x0 - g0 * a[:, self.tree.parent_maps[0]]).T.reshape(v.shape)
+
+    def cluster_factors(self, g0: np.ndarray, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``a`` (k x K1) and ``b`` (K1) with Gamma^-1 v = x0 - g0 a[:, c] and
+        Gamma^-1 beta = g0 b[c] on each level-1 cluster c, for g0 = beta / xi2
+        and the k x N x0 = v' / xi2, zero off the stocks solved for: Woodbury
+        level by level on level-1 sums, dividing by 1 + zeta lambda >= 1, so a
+        cluster with no such stock needs no special case. ``b`` is the paper's product formula."""
+        beta, g1 = self.beta.values, self.tree.parent_maps[0]
+        lead, sums = np.bincount(g1, beta * g0), np.array([np.bincount(g1, beta * x) for x in x0])
+        a, b = np.zeros_like(sums), np.ones(len(lead))
         for clusters, zeta in self._levels:
-            k = len(zeta)
-            lam = np.bincount(clusters, beta * g, minlength=k)[clusters]
-            s = np.bincount(clusters, beta * x, minlength=k)[clusters]
-            shrink = 1.0 + zeta[clusters] * lam
-            # x - g zeta s / shrink, written so that x = g (v = beta) divides
-            # by the shrink factor exactly
-            x = (x + zeta[clusters] * (lam * x - s * g)) / shrink
-            g = g / shrink
-        return x
+            shrink = 1.0 + zeta[clusters] * np.bincount(clusters, b * lead)[clusters]
+            s = np.array([np.bincount(clusters, row) for row in sums - a * lead])[:, clusters]
+            a, b = a + b * zeta[clusters] / shrink * s, b / shrink
+        return a, b
 
 
 def build_russian_doll(

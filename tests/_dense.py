@@ -156,7 +156,7 @@ class DenseCovariance:
         v = np.asarray(v, dtype=float)
         if free is None:
             return np.linalg.solve(self.matrix, v)
-        out = np.zeros(self.n_stocks)
+        out = np.zeros(v.shape)
         out[free] = np.linalg.solve(self.matrix[np.ix_(free, free)], v[free])
         return out
 

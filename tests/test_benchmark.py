@@ -94,7 +94,10 @@ class TestBenchmarkWeights:
 
     def test_two_level_gamma_factorizes(self):
         # hand-built 2-level model with uniform cluster loadings: the cluster
-        # factors must split into three independent shrinkage terms
+        # factors must split into three independent shrinkage terms. With the
+        # specific variances scaled down to 1e-6, zeta * lambda is about 1e5
+        # per level: x = v / xi2 - (beta / xi2) a then cancels to 5e-10 of the
+        # weights, while the product form keeps them to rounding
         rng = np.random.default_rng(8)
         tickers = tuple(f"S{i}" for i in range(8))
         labels = [
@@ -102,29 +105,35 @@ class TestBenchmarkWeights:
             ("c", "Y"), ("c", "Y"), ("d", "Y"), ("d", "Y"),
         ]
         tree = tree_from_labels(tickers, labels)
-        xi2 = rng.uniform(0.5, 2.0, 8)
+        unscaled_xi2 = rng.uniform(0.5, 2.0, 8)
         beta = rng.uniform(0.8, 1.3, 8)
         z1 = rng.uniform(0.1, 0.6, 4)   # level-1 specific variances
         z2 = rng.uniform(0.1, 0.6, 2)   # level-2 specific variances
         omega2 = rng.uniform(0.1, 0.5)  # top variance
-        model = RussianDollModel(
-            tree=tree,
-            beta=BetaVector(tickers, beta),
-            xi2=xi2,
-            zeta2=(z1, z2),
-            top_var=float(omega2),
-            fitted_cluster_var=(np.ones(4), np.ones(2)),
-            mkt_fac=True,
-        )
-        gamma = benchmark_weights(model).gamma
+        for xi2 in (unscaled_xi2, 1e-6 * unscaled_xi2):
+            model = RussianDollModel(
+                tree=tree,
+                beta=BetaVector(tickers, beta),
+                xi2=xi2,
+                zeta2=(z1, z2),
+                top_var=float(omega2),
+                fitted_cluster_var=(np.ones(4), np.ones(2)),
+                mkt_fac=True,
+            )
+            result = benchmark_weights(model)
 
-        lam = np.array([np.sum(beta[idx] ** 2 / xi2[idx]) for idx in cluster_members(tree.parent_maps[0], 4)])
-        shrunk1 = lam / (1.0 + z1 * lam)
-        lam2 = np.array([shrunk1[idx].sum() for idx in cluster_members(tree.parent_maps[1], 2)])
-        tau = omega2 * np.sum(lam2 / (1.0 + z2 * lam2))
-        parent = tree.parent_maps[1]
-        expected = 1.0 / ((1.0 + z1 * lam) * (1.0 + z2[parent] * lam2[parent]) * (1.0 + tau))
-        np.testing.assert_allclose(gamma, expected, rtol=1e-10)
+            lam = np.array([np.sum(beta[idx] ** 2 / xi2[idx]) for idx in cluster_members(tree.parent_maps[0], 4)])
+            shrunk1 = lam / (1.0 + z1 * lam)
+            lam2 = np.array([shrunk1[idx].sum() for idx in cluster_members(tree.parent_maps[1], 2)])
+            tau = omega2 * np.sum(lam2 / (1.0 + z2 * lam2))
+            parent = tree.parent_maps[1]
+            expected = 1.0 / ((1.0 + z1 * lam) * (1.0 + z2[parent] * lam2[parent]) * (1.0 + tau))
+            np.testing.assert_allclose(result.gamma, expected, rtol=1e-10)
+            product = beta / xi2 * expected[tree.parent_maps[0]]
+            assert np.all(result.weights > 0.0)
+            np.testing.assert_allclose(result.weights, product / (beta @ product), rtol=1e-10)
+            w_ref, _ = benchmark_weights_oracle(assemble_dense(model), model.beta)
+            np.testing.assert_allclose(result.weights, w_ref, rtol=1e-8)
 
     def test_beta_scaling_rescales_weights(self):
         inst = random_instance(44, n_range=(8, 20))

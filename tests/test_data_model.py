@@ -790,6 +790,14 @@ def test_tree_from_labels_counts_never_increase():
         ClassificationTree(("A", "B"), (("a", "b"), ("X", "Y", "Z")), (np.array([0, 1]), np.array([0, 1])))
 
 
+def test_tree_refuses_map_entries_that_are_not_indices():
+    # a cast to int64 would read these as [0, 1, 0] and [0, 0]
+    with pytest.raises(InputError, match=re.escape("level-0 map entry 0.7 of 'A' is not a level-1 cluster index")):
+        ClassificationTree(("A", "B", "C"), (("x", "y"),), (np.array([0.7, 1.9, 0.2]),))
+    with pytest.raises(InputError, match=re.escape("level-1 map entry inf of 'y'")):
+        ClassificationTree(("A", "B", "C"), (("x", "y"), ("X",)), (np.array([0, 1, 1]), np.array([0.0, np.inf])))
+
+
 @st.composite
 def _nested_labels(draw):
     """Per-stock label tuples of a consistent nesting, most granular first:

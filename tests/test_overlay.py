@@ -309,6 +309,24 @@ class TestWarmStart:
                 np.testing.assert_allclose(w, walked, rtol=0, atol=1e-12 * np.abs(walked).max())
                 assert kkt_check(problem, g, w).ok, (seed, g)
 
+    def test_walk_starts_from_a_feasible_start(self, monkeypatch):
+        # at 10x default_gamma_max the steps from the 1x solution revisit an
+        # active set; a walk from w = 0 took 110 KKT solves here, one from
+        # that solution, which meets the box and Q'w = 0 at every gamma', 7
+        model = generate(SyntheticSpec(n=100, t=10, clusters=(10, 2), rho=(0.5, 0.3),
+                                       market_rho=0.1, seed=0)).population_model
+        signal = 0.05 * model.beta.values * np.random.default_rng(2).standard_normal(100)
+        problem = make_overlay_problem(signal, model, benchmark_weights(model).weights,
+                                       modes=("dollar-neutral", "zero-expected-correlation"))
+        gamma = 10.0 * default_gamma_max(problem)
+        start = optimize_mvo(problem, gamma / 10.0)
+        cold = optimize_mvo(problem, gamma)
+        calls = _counting(monkeypatch, "_solve_equality_qp")
+        w = optimize_mvo(problem, gamma, start)
+        assert len(calls) <= 20
+        assert kkt_check(problem, gamma, w).ok
+        np.testing.assert_allclose(w, cold, rtol=0, atol=1e-12 * np.abs(cold).max())
+
 
 _MODE_SETS = (
     ("dollar-neutral",),
@@ -396,7 +414,7 @@ def test_warm_started_solve_property(problem):
 
 def _counting(monkeypatch, name):
     """Record each call of ``nestbench.overlay.<name>``. ``_cold_start`` runs
-    once per solve, and once more for each solve that walks."""
+    once per solve, and once more for each solve that walks from w = 0."""
     calls = []
     function = getattr(nestbench.overlay, name)
 

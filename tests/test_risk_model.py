@@ -323,6 +323,10 @@ def _assert_matches_dense(model, v, masks):
             continue
         close(x, dense.solve(v, free) if free.any() else np.zeros(model.n_stocks))
         assert np.all(x[~free] == 0.0)
+    # k right sides in one solve, with level-1 cluster 0 left without a free member
+    block = np.column_stack([v, np.ones_like(v), v[::-1]])
+    free = model.tree.parent_maps[0] != 0
+    close(model.solve(block, free), dense.solve(block, free) if free.any() else np.zeros(block.shape))
 
 
 class TestNestedPrimitive:
