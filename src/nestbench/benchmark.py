@@ -85,13 +85,12 @@ def serial_betas(panel: ReturnsPanel, bench_returns: np.ndarray) -> np.ndarray:
     if f.shape != (panel.n_periods,):
         raise InputError(f"benchmark series has length {f.shape}, expected {panel.n_periods}")
     f_centered = f - f.mean()
-    # einsum sums in a fixed order; BLAS gemv/dot results change with the
-    # BLAS thread count once the panel is large enough to be split
+    # einsum sums in a fixed order, where BLAS gemv/dot results change with the thread count
+    # once the panel is split; f_centered sums to zero, so the raw panel gives the centred numerator
     var_f = float(np.einsum("s,s->", f_centered, f_centered))
     if var_f <= 0.0:
         raise DegenerateBenchmark("benchmark returns have zero sample variance")
-    centered = panel.values - panel.values.mean(axis=1, keepdims=True)
-    return np.einsum("is,s->i", centered, f_centered) / var_f
+    return np.einsum("is,s->i", panel.values, f_centered) / var_f
 
 
 def make_betas(

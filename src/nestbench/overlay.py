@@ -317,13 +317,13 @@ def _wrong_signs(problem, curvature, w, mu, null, at_lower, at_upper):
     q = problem.constraints
     hw = curvature * problem.model.matvec(w)
     grad = e - hw
+    reduced = grad - np.einsum("ij,j->i", q, mu)
     if null.shape[1]:
         # the free rows leave these multipliers open: fit them to the
         # active rows, so no bound is released for want of a better mu
         rows = (at_lower | at_upper) & ~problem.pinned
-        fit, *_ = np.linalg.lstsq(q[rows] @ null, grad[rows] - q[rows] @ mu, rcond=None)
-        mu = mu + null @ fit
-    reduced = grad - np.einsum("ij,j->i", q, mu)
+        fit, *_ = np.linalg.lstsq(np.einsum("ij,jk->ik", q[rows], null), reduced[rows], rcond=None)
+        reduced = grad - np.einsum("ij,j->i", q, mu + np.einsum("ij,j->i", null, fit))
     tiny = 1e-11 * max(1.0, float(np.abs(e).max()), float(np.abs(hw).max()))
     wrong = (at_lower & (reduced > tiny)) | (at_upper & (reduced < -tiny))
     return np.where(wrong & ~problem.pinned, np.abs(reduced), 0.0)
@@ -334,10 +334,11 @@ def _solve_equality_qp(model, curvature, e, q, free, w_fixed):
     fixed, subject to Q'w = 0, with H = curvature * Gamma.
 
     w_F = a - Y mu, with a = H_FF^-1 (e - H w_fixed)_F and Y = H_FF^-1 Q_F
-    from one nested solve, leaves the p x p Schur system (Q_F' Y) mu =
-    Q'(a + w_fixed). Directions of mu the free rows of Q leave open are
-    dropped from it, never divided by a pivot that is zero to rounding, and
-    returned as ``null``; one refinement pass restores Q'w = 0.
+    from one nested solve, leaves the p x p Schur system S mu = Q'(a + w_fixed),
+    S = Q_F' Y. The eigenpairs of D S D, D = diag(S)^-1/2, give B = D V with
+    B'SB = diag(lam) by construction, so S^-1 = B diag(1/lam) B' needs no
+    solve. Directions with lam zero to rounding, left open by the free rows
+    of Q, are returned as ``null``; one refinement pass restores Q'w = 0.
     """
     p = q.shape[1]
     if not free.any():
@@ -349,13 +350,12 @@ def _solve_equality_qp(model, curvature, e, q, free, w_fixed):
     scale = 1.0 / np.sqrt(np.diag(schur))
     lam, vec = np.linalg.eigh(scale[:, None] * schur * scale)
     keep = lam > _RANK_TOL * lam[-1]
-    basis = scale[:, None] * vec[:, keep]
-    # Schur inverse on the determined directions: B (B' S B)^-1 B'
-    inverse = basis @ np.linalg.solve(basis.T @ schur @ basis, basis.T)
-    mu = inverse @ _dot(q, a + w_fixed)
+    basis = scale[:, None] * vec
+    inverse = np.einsum("ik,k,jk->ij", basis[:, keep], 1.0 / lam[keep], basis[:, keep])
+    mu = np.einsum("ij,j->i", inverse, _dot(q, a + w_fixed))
     w = w_fixed + a - np.einsum("ij,j->i", y, mu)
-    refine = inverse @ _dot(q, w)
-    return w - np.einsum("ij,j->i", y, refine), mu + refine, scale[:, None] * vec[:, ~keep]
+    refine = np.einsum("ij,j->i", inverse, _dot(q, w))
+    return w - np.einsum("ij,j->i", y, refine), mu + refine, basis[:, ~keep]
 
 
 def _dot(u, v):
@@ -384,7 +384,7 @@ def kkt_check(problem: OverlayProblem, gamma_prime: float, w_prime: np.ndarray) 
     free = ~(at_lower | at_upper)
     fit = free if free.any() else ~pinned
     mu, *_ = np.linalg.lstsq(q[fit, :], grad[fit], rcond=None)
-    reduced = grad - q @ mu
+    reduced = grad - np.einsum("ij,j->i", q, mu)
     stationarity = float(np.abs(reduced[free]).max()) if free.any() else 0.0
     lo_viol = np.where(at_lower & ~pinned, np.maximum(reduced, 0.0), 0.0)
     hi_viol = np.where(at_upper & ~pinned, np.maximum(-reduced, 0.0), 0.0)

@@ -151,14 +151,19 @@ def memberships(tree: ClassificationTree) -> list[np.ndarray]:
     return out
 
 
-def blas_threads_env(threads: int) -> dict:
+def blas_threads_env(threads: int, coretype: str | None = None) -> dict:
     """Environment for a child Python that imports this checkout's nestbench
-    with BLAS limited to ``threads`` threads."""
+    with BLAS limited to ``threads`` threads and, given ``coretype``, with
+    OpenBLAS's kernels for that CPU type in place of the ones it detects.
+    A BLAS without runtime kernel choice ignores the variable."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(nestbench.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = str(threads)
+    env.pop("OPENBLAS_CORETYPE", None)
+    if coretype is not None:
+        env["OPENBLAS_CORETYPE"] = coretype
     return env
 
 

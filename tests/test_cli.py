@@ -584,44 +584,57 @@ def test_load_model_missing_file(tmp_path):
         load_model(tmp_path / "absent.json")
 
 
-def _cli_with_threads(threads, cwd, *argv):
+def _cli_with_threads(threads, cwd, *argv, coretype=None):
     subprocess.run([sys.executable, "-m", "nestbench", *argv], cwd=cwd,
-                   env=blas_threads_env(threads), check=True, capture_output=True, timeout=300)
+                   env=blas_threads_env(threads, coretype), check=True, capture_output=True, timeout=300)
+
+
+# each run's BLAS thread count and OpenBLAS kernels, None for the detected
+# ones; Prescott loads the Katmai kernels. A BLAS without runtime kernel
+# choice ignores the kernel name, so there every run is the default's.
+BLAS_RUNS = ((1, None), (2, None), (1, "Nehalem"), (1, "Prescott"))
+
+
+def _cli_under_each_blas(tmp_path, *argv):
+    """Run one command under each of BLAS_RUNS, each in its own directory
+    under ``tmp_path``, and return those directories, default first."""
+    # the same relative --out keeps the config echoed into the sidecars equal
+    dirs = []
+    for threads, coretype in BLAS_RUNS:
+        dirs.append(tmp_path / f"t{threads}-{coretype or 'default'}")
+        dirs[-1].mkdir(exist_ok=True)
+        _cli_with_threads(threads, dirs[-1], *argv, coretype=coretype)
+    return dirs
 
 
 def test_benchmark_bytes_independent_of_blas_threads(tmp_path):
-    # the same relative --out keeps the config echoed into the sidecars equal
-    for threads in (1, 2):
-        (tmp_path / f"t{threads}").mkdir()
-        _cli_with_threads(threads, tmp_path / f"t{threads}", "synth", "--n", "1200", "--t", "300",
-                          "--clusters", "120,12,3", "--rho", "0.4,0.25,0.1", "--market-rho", "0.05",
-                          "--seed", "11", "--out", "fix")
-    for name in ("returns.csv", "classification.csv"):
-        assert _read(tmp_path / "t1" / "fix" / name) == _read(tmp_path / "t2" / "fix" / name), name
-    fix = tmp_path / "t1" / "fix"
-    for threads in (1, 2):
-        _cli_with_threads(threads, tmp_path / f"t{threads}", "benchmark",
-                          "--returns", str(fix / "returns.csv"),
-                          "--classification", str(fix / "classification.csv"), "--out", "out")
-    for name in ("weights.csv", "model.json", "benchmark.json"):
-        assert _read(tmp_path / "t1" / "out" / name) == _read(tmp_path / "t2" / "out" / name), name
+    dirs = _cli_under_each_blas(tmp_path, "synth", "--n", "1200", "--t", "300", "--clusters", "120,12,3",
+                                "--rho", "0.4,0.25,0.1", "--market-rho", "0.05", "--seed", "11", "--out", "fix")
+    for other in dirs[1:]:
+        for name in ("returns.csv", "classification.csv"):
+            assert _read(dirs[0] / "fix" / name) == _read(other / "fix" / name), (other.name, name)
+    fix = dirs[0] / "fix"
+    dirs = _cli_under_each_blas(tmp_path, "benchmark", "--returns", str(fix / "returns.csv"),
+                                "--classification", str(fix / "classification.csv"), "--out", "out")
+    for other in dirs[1:]:
+        for name in ("weights.csv", "model.json", "benchmark.json"):
+            assert _read(dirs[0] / "out" / name) == _read(other / "out" / name), (other.name, name)
 
 
 def test_overlay_bytes_independent_of_blas_threads(tmp_path):
+    # with one or two constraint columns no BLAS or LAPACK call between the
+    # model and the sleeve depends on the kernel
     fix = tmp_path / "fix"
     _cli_with_threads(1, tmp_path, "synth", "--n", "250", "--t", "250", "--clusters", "25,5",
                       "--rho", "0.4,0.2", "--market-rho", "0.1", "--seed", "1", "--out", str(fix))
     signal = _write_signal(fix / "returns.csv", tmp_path / "e.csv", jitter=0.01)
-    # the same relative --out keeps the config echoed into overlay.json equal
-    for threads in (1, 2):
-        (tmp_path / f"t{threads}").mkdir()
-        _cli_with_threads(threads, tmp_path / f"t{threads}", "overlay",
-                          "--returns", str(fix / "returns.csv"),
-                          "--classification", str(fix / "classification.csv"),
-                          "--expected-returns", str(signal),
-                          "--constraints", "dollar-neutral,zero-expected-correlation", "--out", "out")
-    for name in ("overlay.csv", "overlay.json"):
-        assert _read(tmp_path / "t1" / "out" / name) == _read(tmp_path / "t2" / "out" / name), name
+    dirs = _cli_under_each_blas(tmp_path, "overlay", "--returns", str(fix / "returns.csv"),
+                                "--classification", str(fix / "classification.csv"),
+                                "--expected-returns", str(signal),
+                                "--constraints", "dollar-neutral,zero-expected-correlation", "--out", "out")
+    for other in dirs[1:]:
+        for name in ("overlay.csv", "overlay.json"):
+            assert _read(dirs[0] / "out" / name) == _read(other / "out" / name), (other.name, name)
 
 
 def test_cli_import_starts_no_process_pool_module():
