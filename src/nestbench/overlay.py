@@ -33,8 +33,8 @@ INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 _BOUND_TOL = 1e-12
 
-# eigenvalues of the equilibrated Schur matrix below this share of the largest
-# count as zero: those constraint combinations vanish on the free rows
+# a Schur direction whose squared norm is at most this share of its own
+# diagonal entry counts as zero: that combination vanishes on the free rows
 _RANK_TOL = 1e-12
 
 # an active set whose free rows cannot meet Q'w = 0 on their own must meet it
@@ -256,13 +256,9 @@ def optimize_mvo(problem: OverlayProblem, gamma_prime: float, start: np.ndarray 
                 ratio_hi = np.where(clamp_hi, (upper - w) / step, np.inf)
             alpha = max(0.0, min(1.0, float(np.minimum(ratio_lo, ratio_hi).min())))
             w = w + alpha * step
-            hit_lo = free & (step < 0.0) & (w - lower <= near)
-            hit_hi = free & (step > 0.0) & (upper - w <= near)
-            if not hit_lo.any() and not hit_hi.any():
-                # roundoff left the blocking coordinate marginally inside: clamp the worst violator
-                excess = np.where(clamp_lo, lower - target, 0.0) + np.where(clamp_hi, target - upper, 0.0)
-                worst = int(np.argmax(excess))
-                hit_lo[worst], hit_hi[worst] = clamp_lo[worst], clamp_hi[worst]
+            # the ratio test's blocking coordinates, and any the step brings within reach
+            hit_lo = (ratio_lo <= alpha) | free & (step < 0.0) & (w - lower <= near)
+            hit_hi = (ratio_hi <= alpha) | free & (step > 0.0) & (upper - w <= near)
             at_lower |= hit_lo
             at_upper |= hit_hi
             w = np.where(hit_lo, lower, np.where(hit_hi, upper, w))
@@ -335,27 +331,31 @@ def _solve_equality_qp(model, curvature, e, q, free, w_fixed):
 
     w_F = a - Y mu, with a = H_FF^-1 (e - H w_fixed)_F and Y = H_FF^-1 Q_F
     from one nested solve, leaves the p x p Schur system S mu = Q'(a + w_fixed),
-    S = Q_F' Y. The eigenpairs of D S D, D = diag(S)^-1/2, give B = D V with
-    B'SB = diag(lam) by construction, so S^-1 = B diag(1/lam) B' needs no
-    solve. Directions with lam zero to rounding, left open by the free rows
-    of Q, are returned as ``null``; one refinement pass restores Q'w = 0.
+    S = Q_F' Y. Gram-Schmidt of the unit vectors in the inner product u'Sv,
+    dollar-neutral first, scales each direction it determines to u'Su = 1, so
+    S^-1 is their outer products summed. Those with u'Su <= _RANK_TOL S_jj (all
+    with no free stock) stay open, unscaled, as ``null``; one pass restores Q'w = 0.
     """
     p = q.shape[1]
-    if not free.any():
-        return w_fixed.copy(), np.zeros(p), np.eye(p)
     r = e - curvature * model.matvec(w_fixed)
     ay = model.solve(np.column_stack([r, q]), free) / curvature
     a, y = ay[:, 0], ay[:, 1:]
-    schur = np.einsum("ij,ik->jk", q, y)
-    scale = 1.0 / np.sqrt(np.diag(schur))
-    lam, vec = np.linalg.eigh(scale[:, None] * schur * scale)
-    keep = lam > _RANK_TOL * lam[-1]
-    basis = scale[:, None] * vec
-    inverse = np.einsum("ik,k,jk->ij", basis[:, keep], 1.0 / lam[keep], basis[:, keep])
+    schur = np.einsum("ij,ik->jk", q, y).tolist()
+    basis, null = [], []
+    for j, row in enumerate(schur):
+        v, norm2 = [float(i == j) for i in range(p)], row[j]
+        for b in basis:
+            c = sum(s * bk for s, bk in zip(row, b))  # e_j'Sb
+            v, norm2 = [vi - c * bi for vi, bi in zip(v, b)], norm2 - c * c
+        if norm2 <= _RANK_TOL * row[j]:
+            null.append(v)
+        else:
+            basis.append([vi / math.sqrt(norm2) for vi in v])
+    inverse = np.array([[sum(b[i] * b[k] for b in basis) for k in range(p)] for i in range(p)], dtype=float)
     mu = np.einsum("ij,j->i", inverse, _dot(q, a + w_fixed))
     w = w_fixed + a - np.einsum("ij,j->i", y, mu)
     refine = np.einsum("ij,j->i", inverse, _dot(q, w))
-    return w - np.einsum("ij,j->i", y, refine), mu + refine, basis[:, ~keep]
+    return w - np.einsum("ij,j->i", y, refine), mu + refine, np.array(null, dtype=float).reshape(-1, p).T
 
 
 def _dot(u, v):

@@ -622,19 +622,23 @@ def test_benchmark_bytes_independent_of_blas_threads(tmp_path):
 
 
 def test_overlay_bytes_independent_of_blas_threads(tmp_path):
-    # with one or two constraint columns no BLAS or LAPACK call between the
-    # model and the sleeve depends on the kernel
+    # with two or three constraint columns no BLAS or LAPACK call between
+    # the model and the sleeve depends on the kernel: the p x p Schur algebra
+    # runs in Python floats
     fix = tmp_path / "fix"
     _cli_with_threads(1, tmp_path, "synth", "--n", "250", "--t", "250", "--clusters", "25,5",
                       "--rho", "0.4,0.2", "--market-rho", "0.1", "--seed", "1", "--out", str(fix))
     signal = _write_signal(fix / "returns.csv", tmp_path / "e.csv", jitter=0.01)
-    dirs = _cli_under_each_blas(tmp_path, "overlay", "--returns", str(fix / "returns.csv"),
-                                "--classification", str(fix / "classification.csv"),
-                                "--expected-returns", str(signal),
-                                "--constraints", "dollar-neutral,zero-expected-correlation", "--out", "out")
-    for other in dirs[1:]:
-        for name in ("overlay.csv", "overlay.json"):
-            assert _read(dirs[0] / "out" / name) == _read(other / "out" / name), (other.name, name)
+    for modes in ("dollar-neutral,zero-expected-correlation",
+                  "dollar-neutral,zero-expected-correlation,orthogonal-to-benchmark"):
+        runs = tmp_path / f"p{modes.count(',') + 1}"
+        runs.mkdir()
+        dirs = _cli_under_each_blas(runs, "overlay", "--returns", str(fix / "returns.csv"),
+                                    "--classification", str(fix / "classification.csv"),
+                                    "--expected-returns", str(signal), "--constraints", modes, "--out", "out")
+        for other in dirs[1:]:
+            for name in ("overlay.csv", "overlay.json"):
+                assert _read(dirs[0] / "out" / name) == _read(other / "out" / name), (modes, other.name, name)
 
 
 def test_cli_import_starts_no_process_pool_module():

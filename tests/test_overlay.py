@@ -22,6 +22,7 @@ from nestbench import (
     make_betas,
     make_overlay_problem,
     optimize_mvo,
+    OverlayProblem,
     residualize,
     sharpe_ratio,
     tune_gamma,
@@ -248,6 +249,39 @@ class TestOptimizeMvo:
             w = optimize_mvo(problem, gamma)
             np.testing.assert_allclose(w, 0.0, rtol=0, atol=1e-15)
             assert kkt_check(problem, gamma, w).ok
+
+    def test_constraint_column_zero_on_every_free_stock(self):
+        # pinning stock 0 leaves the column e_0 zero on every free stock:
+        # its Schur direction has norm 0 and stays open, with no division
+        n = 5
+        lower, upper = np.full(n, -0.1), np.full(n, 0.1)
+        lower[0] = upper[0] = 0.0
+        problem = OverlayProblem([0.0, 0.02, -0.01, 0.03, -0.02], DenseCovariance(0.04 * np.eye(n) + 0.01),
+                                 np.full(n, 1.0 / n), lower, upper, np.column_stack([np.ones(n), np.eye(n)[0]]))
+        w = optimize_mvo(problem, 1.0)
+        np.testing.assert_allclose(w, [0.0, 0.1, -0.1, 0.1, -0.1], rtol=0, atol=1e-15)
+        assert kkt_check(problem, 1.0, w).ok
+        assert tune_gamma(problem).eq_residual <= 1e-15
+
+    def test_full_rank_steps_call_no_linear_algebra_routine(self, monkeypatch):
+        # the p x p Schur algebra runs in Python floats, so its bytes follow
+        # no BLAS or LAPACK kernel; only a step that leaves directions of mu
+        # open calls lstsq
+        model = generate(SyntheticSpec(n=250, t=10, clusters=(25, 5), rho=(0.4, 0.2),
+                                       market_rho=0.1, seed=1)).population_model
+        signal = 0.05 * model.beta.values * np.random.default_rng(2).standard_normal(250)
+        problem = make_overlay_problem(signal, model, benchmark_weights(model).weights,
+                                       modes=("dollar-neutral", "zero-expected-correlation", "orthogonal-to-benchmark"))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg called in a full-rank KKT step")
+        for name in ("eigh", "eigvalsh", "solve", "inv", "cholesky", "svd", "pinv"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        gamma_max = default_gamma_max(problem)
+        for gamma in gamma_max * np.array([0.01, 0.1, 1.0]):
+            w = optimize_mvo(problem, gamma)
+            assert np.abs(problem.constraints.T @ w).max() <= 1e-10
+            assert np.all((problem.lower <= w) & (w <= problem.upper))
 
     def test_narrow_boxes_meet_constraints_exactly(self):
         # with both narrow boxes at a bound, too few stocks are free to meet
