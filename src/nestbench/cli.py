@@ -74,7 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="JSON config file; command-line flags override it")
     sub = parser.add_subparsers(dest="command")
-    for command, (_, help_text, keys) in _COMMANDS.items():
+    for command, (_, help_text, keys, _) in _COMMANDS.items():
         flags = sub.add_parser(command, help=help_text)
         for key in keys:
             _, default, key_help = _OPTIONS[key]
@@ -103,6 +103,9 @@ def _merge_config(args) -> dict:
                 merged[key] = _OPTIONS[key][0](value)
             except (TypeError, ValueError):
                 raise InputError(f"invalid value for option {key!r}: {value!r}") from None
+    for key in (*_COMMANDS[args.command][3], _BETA_MODE_INPUTS.get(merged.get("beta_mode"))):
+        if key and not merged.get(key):
+            raise InputError(f"missing required input: --{key.replace('_', '-')}")
     return merged
 
 
@@ -187,9 +190,6 @@ _OPTIONS = {
 
 
 def _build_model(cfg: dict):
-    for key in ("returns", "classification"):
-        if not cfg.get(key):
-            raise InputError(f"missing required input: --{key}")
     panel = load_returns_csv(cfg["returns"])
     tree = load_classification_csv(cfg["classification"], panel)
     for warning in validate_tree(tree, panel):
@@ -208,12 +208,8 @@ def _resolve_beta(cfg: dict, panel):
     }
     index_returns = None
     if cfg["beta_mode"] == "observed-capped":
-        if not cfg.get("index_returns"):
-            raise InputError("observed-capped beta mode requires --index-returns")
         index_returns = _load_in_order(cfg["index_returns"], ("date", "value"), panel.dates)
     elif cfg["beta_mode"] == "explicit":
-        if not cfg.get("beta_file"):
-            raise InputError("explicit beta mode requires --beta-file")
         spec_kwargs["values"] = _load_ticker_values(cfg["beta_file"], panel, "beta")
     return make_betas(panel, BetaSpec(**spec_kwargs), index_returns)
 
@@ -246,7 +242,7 @@ def cmd_benchmark(cfg: dict) -> int:
     result = benchmark_weights(model)
     if cfg["weight_scale"] == "sum":
         result = _rescale_to_unit_sum(result)
-    outdir = _ensure_outdir(cfg["out"])
+    os.makedirs(outdir := cfg["out"], exist_ok=True)
     write_weights_csv(os.path.join(outdir, "weights.csv"), result, model)
     save_model(model, os.path.join(outdir, "model.json"))
     sidecar = {
@@ -275,8 +271,6 @@ def cmd_overlay(cfg: dict) -> int:
         w_star = _load_in_order(cfg["weights"], ("ticker", "weight"), panel.tickers)
     else:
         w_star = benchmark_weights(model).weights
-    if not cfg.get("expected_returns"):
-        raise InputError("missing required input: --expected-returns")
     signal = _load_ticker_values(cfg["expected_returns"], panel, "expected_return")
     w_star_norm = w_star / w_star.sum()
     if cfg["residualize"]:
@@ -292,7 +286,7 @@ def cmd_overlay(cfg: dict) -> int:
     )
     result = tune_gamma(problem, cfg["gamma_max"], tol=cfg["tol"])
 
-    outdir = _ensure_outdir(cfg["out"])
+    os.makedirs(outdir := cfg["out"], exist_ok=True)
     write_csv(
         os.path.join(outdir, "overlay.csv"),
         ("ticker", "w_star", "w_prime", "w_combined"),
@@ -330,7 +324,7 @@ def cmd_synth(cfg: dict) -> int:
         seed=cfg["seed"],
     )
     instance = generate(spec)
-    outdir = _ensure_outdir(cfg["out"])
+    os.makedirs(outdir := cfg["out"], exist_ok=True)
     write_returns_csv(instance.panel, os.path.join(outdir, "returns.csv"))
     write_classification_csv(instance.tree, os.path.join(outdir, "classification.csv"))
     write_json(os.path.join(outdir, "synth.json"), {"config": cfg})
@@ -342,11 +336,9 @@ def cmd_synth(cfg: dict) -> int:
 
 
 def cmd_betas(cfg: dict) -> int:
-    if not cfg.get("returns"):
-        raise InputError("missing required input: --returns")
     panel = load_returns_csv(cfg["returns"])
     beta = _resolve_beta(cfg, panel)
-    outdir = _ensure_outdir(cfg["out"])
+    os.makedirs(outdir := cfg["out"], exist_ok=True)
     write_csv(os.path.join(outdir, "betas.csv"), ("ticker", "beta"), (panel.tickers, beta.values))
     write_json(os.path.join(outdir, "betas.json"), {"config": cfg})
     print(f"betas: N={panel.n_stocks} mode={cfg['beta_mode']}")
@@ -355,17 +347,18 @@ def cmd_betas(cfg: dict) -> int:
 
 _BETA_KEYS = ("returns", "beta_mode", "index_returns", "beta_file", "kappa_max", "kappa_min")
 _MODEL_KEYS = (*_BETA_KEYS, "classification", "z_min", "z_max", "mkt_fac")
+_BETA_MODE_INPUTS = {"observed-capped": "index_returns", "explicit": "beta_file"}  # besides the returns
 
-# command: (handler, help, the keys it takes as flags)
+# command: (handler, help, the keys it takes as flags, those it requires)
 _COMMANDS = {
     "benchmark": (cmd_benchmark, "fit the nested model and write benchmark weights",
-                  (*_MODEL_KEYS, "weight_scale", "out")),
+                  (*_MODEL_KEYS, "weight_scale", "out"), ("returns", "classification", "out")),
     "overlay": (cmd_overlay, "tune and write the dollar-neutral overlay",
                 (*_MODEL_KEYS, "expected_returns", "weights", "constraints", "band_z", "gamma_max", "tol",
-                 "residualize", "out")),
+                 "residualize", "out"), ("returns", "classification", "expected_returns", "out")),
     "synth": (cmd_synth, "generate a synthetic returns/classification fixture",
-              ("n", "t", "clusters", "rho", "market_rho", "seed", "out")),
-    "betas": (cmd_betas, "compute a beta vector on its own", (*_BETA_KEYS, "out")),
+              ("n", "t", "clusters", "rho", "market_rho", "seed", "out"), ("out",)),
+    "betas": (cmd_betas, "compute a beta vector on its own", (*_BETA_KEYS, "out"), ("returns", "out")),
 }
 
 
@@ -374,13 +367,6 @@ def _rescale_to_unit_sum(result: BenchmarkResult) -> BenchmarkResult:
     variance picks up the square of the scale."""
     scale = float(result.weights.sum())
     return BenchmarkResult(result.tickers, result.weights / scale, result.sigma_f2 / scale**2, result.gamma)
-
-
-def _ensure_outdir(path) -> str:
-    if not path:
-        raise InputError("missing output directory (--out)")
-    os.makedirs(path, exist_ok=True)
-    return str(path)
 
 
 if __name__ == "__main__":

@@ -33,8 +33,9 @@ INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 _BOUND_TOL = 1e-12
 
-# a Schur direction whose squared norm is at most this share of its own
-# diagonal entry counts as zero: that combination vanishes on the free rows
+# the one rank rule, _gram_schmidt's, for the constraint columns, the Schur
+# step and the open multipliers' fit: a column whose squared norm, with those
+# before it projected out, is at most this share of its own is dependent
 _RANK_TOL = 1e-12
 
 # an active set whose free rows cannot meet Q'w = 0 on their own must meet it
@@ -89,8 +90,7 @@ class OverlayProblem:
             f"lower bound of stock {tickers[i]!r} is below minus its benchmark weight"))
         if not np.allclose(q[:, 0], 1.0):
             raise InputError("first constraint column must be the unit vector (dollar neutrality)")
-        svals = np.linalg.svd(q, compute_uv=False)
-        if q.shape[1] > n or svals[-1] <= 1e-10 * svals[0]:  # more columns than stocks: dependent
+        if q.shape[1] > n or _gram_schmidt(q, q)[1].shape[1]:
             raise DegenerateConstraints("constraint columns are linearly dependent")
         for name, arr in (("expected_returns", e), ("w_star", w_star),
                           ("lower", lower), ("upper", upper), ("constraints", q)):
@@ -318,7 +318,8 @@ def _wrong_signs(problem, curvature, w, mu, null, at_lower, at_upper):
         # the free rows leave these multipliers open: fit them to the
         # active rows, so no bound is released for want of a better mu
         rows = (at_lower | at_upper) & ~problem.pinned
-        fit, *_ = np.linalg.lstsq(np.einsum("ij,jk->ik", q[rows], null), reduced[rows], rcond=None)
+        a = np.einsum("ij,jk->ik", q[rows], null)
+        fit = np.einsum("ij,j->i", _gram_schmidt(a, a)[0], _dot(a, reduced[rows]))  # normal equations
         reduced = grad - np.einsum("ij,j->i", q, mu + np.einsum("ij,j->i", null, fit))
     tiny = 1e-11 * max(1.0, float(np.abs(e).max()), float(np.abs(hw).max()))
     wrong = (at_lower & (reduced > tiny)) | (at_upper & (reduced < -tiny))
@@ -331,31 +332,39 @@ def _solve_equality_qp(model, curvature, e, q, free, w_fixed):
 
     w_F = a - Y mu, with a = H_FF^-1 (e - H w_fixed)_F and Y = H_FF^-1 Q_F
     from one nested solve, leaves the p x p Schur system S mu = Q'(a + w_fixed),
-    S = Q_F' Y. Gram-Schmidt of the unit vectors in the inner product u'Sv,
-    dollar-neutral first, scales each direction it determines to u'Su = 1, so
-    S^-1 is their outer products summed. Those with u'Su <= _RANK_TOL S_jj (all
-    with no free stock) stay open, unscaled, as ``null``; one pass restores Q'w = 0.
+    S = Q_F' Y, inverted by ``_gram_schmidt`` on the directions the free rows
+    determine; the others (all, with no free stock) stay open as ``null``.
+    One pass restores Q'w = 0.
     """
-    p = q.shape[1]
     r = e - curvature * model.matvec(w_fixed)
     ay = model.solve(np.column_stack([r, q]), free) / curvature
     a, y = ay[:, 0], ay[:, 1:]
-    schur = np.einsum("ij,ik->jk", q, y).tolist()
-    basis, null = [], []
-    for j, row in enumerate(schur):
-        v, norm2 = [float(i == j) for i in range(p)], row[j]
-        for b in basis:
-            c = sum(s * bk for s, bk in zip(row, b))  # e_j'Sb
-            v, norm2 = [vi - c * bi for vi, bi in zip(v, b)], norm2 - c * c
-        if norm2 <= _RANK_TOL * row[j]:
-            null.append(v)
-        else:
-            basis.append([vi / math.sqrt(norm2) for vi in v])
-    inverse = np.array([[sum(b[i] * b[k] for b in basis) for k in range(p)] for i in range(p)], dtype=float)
+    inverse, null = _gram_schmidt(q, y)
     mu = np.einsum("ij,j->i", inverse, _dot(q, a + w_fixed))
     w = w_fixed + a - np.einsum("ij,j->i", y, mu)
     refine = np.einsum("ij,j->i", inverse, _dot(q, w))
-    return w - np.einsum("ij,j->i", y, refine), mu + refine, np.array(null, dtype=float).reshape(-1, p).T
+    return w - np.einsum("ij,j->i", y, refine), mu + refine, null
+
+
+def _gram_schmidt(u, v):
+    """G^-1 for G = u'v on the directions G determines, and the p x k it leaves
+    open. Gram-Schmidt of the unit vectors in the inner product x'Gy, column 0
+    first, in Python floats, so no BLAS kernel shows in the bytes: a direction
+    with x'Gx above _RANK_TOL G_jj is scaled to x'Gx = 1 and G^-1 sums their
+    outer products; the rest stay open, unscaled (all of them when G = 0)."""
+    p = u.shape[1]
+    basis, null = [], []
+    for j, row in enumerate(np.einsum("ij,ik->jk", u, v).tolist()):
+        x, norm2 = [float(i == j) for i in range(p)], row[j]
+        for b in basis:
+            c = sum(s * bk for s, bk in zip(row, b))  # e_j'Gb
+            x, norm2 = [xi - c * bi for xi, bi in zip(x, b)], norm2 - c * c
+        if norm2 <= _RANK_TOL * row[j]:
+            null.append(x)
+        else:
+            basis.append([xi / math.sqrt(norm2) for xi in x])
+    inverse = np.array([[sum(b[i] * b[k] for b in basis) for k in range(p)] for i in range(p)], dtype=float)
+    return inverse, np.array(null, dtype=float).reshape(-1, p).T
 
 
 def _dot(u, v):
@@ -383,8 +392,10 @@ def kkt_check(problem: OverlayProblem, gamma_prime: float, w_prime: np.ndarray) 
     at_upper = pinned | (problem.upper - w <= _ACTIVE_TOL * width)
     free = ~(at_lower | at_upper)
     fit = free if free.any() else ~pinned
-    mu, *_ = np.linalg.lstsq(q[fit, :], grad[fit], rcond=None)
-    reduced = grad - np.einsum("ij,j->i", q, mu)
+    norms = np.sqrt(np.einsum("ij,ij->j", q[fit], q[fit]))  # lstsq's rank cut per column, free of units
+    unit = q / np.where(norms > 0.0, norms, 1.0)
+    mu, *_ = np.linalg.lstsq(unit[fit], grad[fit], rcond=None)
+    reduced = grad - np.einsum("ij,j->i", unit, mu)
     stationarity = float(np.abs(reduced[free]).max()) if free.any() else 0.0
     lo_viol = np.where(at_lower & ~pinned, np.maximum(reduced, 0.0), 0.0)
     hi_viol = np.where(at_upper & ~pinned, np.maximum(-reduced, 0.0), 0.0)

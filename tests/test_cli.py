@@ -14,6 +14,7 @@ from conftest import assert_no_child_left, blas_threads_env, past_one_upper_boun
 
 import nestbench.cli
 import nestbench.overlay
+from nestbench import benchmark_weights, build_russian_doll, load_classification_csv, load_returns_csv, make_betas
 from nestbench.cli import main
 from nestbench.errors import MissingInputFile
 from nestbench.risk_model import ThetaFitConfig, load_model, save_model
@@ -621,24 +622,49 @@ def test_benchmark_bytes_independent_of_blas_threads(tmp_path):
             assert _read(dirs[0] / "out" / name) == _read(other / "out" / name), (other.name, name)
 
 
-def test_overlay_bytes_independent_of_blas_threads(tmp_path):
+def test_overlay_bytes_independent_of_blas_threads(tmp_path, monkeypatch):
     # with two or three constraint columns no BLAS or LAPACK call between
-    # the model and the sleeve depends on the kernel: the p x p Schur algebra
-    # runs in Python floats
+    # the model and the sleeve depends on the kernel: the p x p Schur algebra,
+    # and the fit of the multipliers a step leaves open, run in Python floats.
+    # The third run boxes 16 stocks at +/- band w*, with a zero band for
+    # about 60% of them, so that some of its steps leave directions open
     fix = tmp_path / "fix"
     _cli_with_threads(1, tmp_path, "synth", "--n", "250", "--t", "250", "--clusters", "25,5",
                       "--rho", "0.4,0.2", "--market-rho", "0.1", "--seed", "1", "--out", str(fix))
-    signal = _write_signal(fix / "returns.csv", tmp_path / "e.csv", jitter=0.01)
-    for modes in ("dollar-neutral,zero-expected-correlation",
-                  "dollar-neutral,zero-expected-correlation,orthogonal-to-benchmark"):
-        runs = tmp_path / f"p{modes.count(',') + 1}"
-        runs.mkdir()
-        dirs = _cli_under_each_blas(runs, "overlay", "--returns", str(fix / "returns.csv"),
-                                    "--classification", str(fix / "classification.csv"),
-                                    "--expected-returns", str(signal), "--constraints", modes, "--out", "out")
+    small = _synth(tmp_path)
+    panel = load_returns_csv(small / "returns.csv")
+    model = build_russian_doll(panel, load_classification_csv(small / "classification.csv", panel), make_betas(panel))
+    w_star = benchmark_weights(model).weights
+    w_star = w_star / w_star.sum()
+    rng = np.random.default_rng(0)
+    bands = np.where(rng.uniform(size=16) < 0.6, 0.0, rng.uniform(0.05, 0.8, 16))
+    bounds = tmp_path / "bounds.json"
+    bounds.write_text(json.dumps({"lower_bounds": (-bands * w_star).tolist(),
+                                  "upper_bounds": (bands * w_star).tolist()}))
+    two = "dollar-neutral,zero-expected-correlation"
+    runs = {  # name: the data, the constraint modes, the options
+        "p2": (fix, two, []),
+        "p3": (fix, two + ",orthogonal-to-benchmark", []),
+        "open": (small, two, ["--config", str(bounds)]),
+    }
+    for name, (data, modes, options) in runs.items():
+        signal = _write_signal(data / "returns.csv", tmp_path / f"e-{name}.csv", jitter=0.01)
+        argv = [*options, "overlay", "--returns", str(data / "returns.csv"), "--classification",
+                str(data / "classification.csv"), "--expected-returns", str(signal), "--constraints", modes]
+        if options:
+            steps, solve = [], nestbench.overlay._solve_equality_qp
+            monkeypatch.setattr(nestbench.overlay, "_solve_equality_qp",
+                                lambda *args: steps.append(solve(*args)) or steps[-1])
+            assert run(*argv, "--out", str(tmp_path / "in-process")) == 0
+            monkeypatch.undo()
+            assert any(null.shape[1] for _, _, null in steps)  # 7 of 39 steps leave directions open
+            rows = list(csv.DictReader(open(tmp_path / "in-process" / "overlay.csv")))
+            assert any(float(row["w_prime"]) != 0.0 for row in rows)
+        (tmp_path / name).mkdir()
+        dirs = _cli_under_each_blas(tmp_path / name, *argv, "--out", "out")
         for other in dirs[1:]:
-            for name in ("overlay.csv", "overlay.json"):
-                assert _read(dirs[0] / "out" / name) == _read(other / "out" / name), (modes, other.name, name)
+            for output in ("overlay.csv", "overlay.json"):
+                assert _read(dirs[0] / "out" / output) == _read(other / "out" / output), (name, other.name, output)
 
 
 def test_cli_import_starts_no_process_pool_module():
@@ -783,7 +809,7 @@ def test_non_finite_option_is_input_error(tmp_path, capsys, key, value):
 
 @pytest.mark.parametrize("key", [key for key, (_, default, _) in nestbench.cli._OPTIONS.items() if default is not None])
 def test_null_for_a_key_with_a_default_is_input_error(tmp_path, capsys, key):
-    command = next(command for command, (_, _, keys) in nestbench.cli._COMMANDS.items() if key in keys)
+    command = next(command for command, (_, _, keys, _) in nestbench.cli._COMMANDS.items() if key in keys)
     fix = _synth(tmp_path)
     inputs = {"synth": [], "benchmark": ["--returns", str(fix / "returns.csv"),
                                          "--classification", str(fix / "classification.csv")]}
@@ -795,6 +821,24 @@ def test_null_for_a_key_with_a_default_is_input_error(tmp_path, capsys, key):
     assert run("--config", str(config), command, *inputs[command]) == 2
     assert repr(key) in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["benchmark", "--classification", "absent.csv"], "--returns"),
+    (["benchmark", "--returns", "absent.csv"], "--classification"),
+    (["overlay", "--returns", "absent.csv", "--classification", "absent.csv"], "--expected-returns"),
+    (["betas", "--returns", "absent.csv", "--beta-mode", "observed-capped"], "--index-returns"),
+    (["benchmark", "--returns", "absent.csv", "--classification", "absent.csv", "--beta-mode", "explicit"],
+     "--beta-file"),
+    (["betas", "--returns", "absent.csv", "--out", ""], "--out"),
+], ids=["returns", "classification", "expected-returns", "index-returns", "beta-file", "out"])
+def test_missing_required_input_is_refused_before_any_file_is_read(tmp_path, monkeypatch, capsys, argv, flag):
+    # every file named does not exist, so a refusal that came after reading
+    # one would name that file instead of the flag
+    monkeypatch.chdir(tmp_path)
+    assert run(*argv) == 2
+    assert capsys.readouterr().err == f"error: missing required input: {flag}\n"
+    assert not any(tmp_path.iterdir())  # the default --out is ./out
 
 
 @pytest.mark.parametrize("config, named", [

@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -265,8 +266,8 @@ class TestOptimizeMvo:
 
     def test_full_rank_steps_call_no_linear_algebra_routine(self, monkeypatch):
         # the p x p Schur algebra runs in Python floats, so its bytes follow
-        # no BLAS or LAPACK kernel; only a step that leaves directions of mu
-        # open calls lstsq
+        # no BLAS or LAPACK kernel; test_open_steps_call_no_linear_algebra_routine
+        # covers the steps that leave directions of mu open
         model = generate(SyntheticSpec(n=250, t=10, clusters=(25, 5), rho=(0.4, 0.2),
                                        market_rho=0.1, seed=1)).population_model
         signal = 0.05 * model.beta.values * np.random.default_rng(2).standard_normal(250)
@@ -282,6 +283,34 @@ class TestOptimizeMvo:
             w = optimize_mvo(problem, gamma)
             assert np.abs(problem.constraints.T @ w).max() <= 1e-10
             assert np.all((problem.lower <= w) & (w <= problem.upper))
+
+    def test_open_steps_call_no_linear_algebra_routine(self, monkeypatch):
+        # the constructor's rank test and the fit of the multipliers a step
+        # leaves open use the Schur step's Gram-Schmidt; only kkt_check, the
+        # certificate, calls LAPACK. The dense test model's own solve may.
+        def refuse_from_overlay(function):
+            def guarded(*args, **kwargs):
+                assert sys._getframe(1).f_globals["__name__"] != "nestbench.overlay", function.__name__
+                return function(*args, **kwargs)
+            return guarded
+
+        open_directions, solve_equality_qp = [], nestbench.overlay._solve_equality_qp
+
+        def recorded(*args):
+            result = solve_equality_qp(*args)
+            open_directions.append(result[2].shape[1])
+            return result
+
+        with monkeypatch.context() as patch:
+            for name in ("lstsq", "svd", "eigh", "solve", "inv", "cholesky", "pinv"):
+                patch.setattr(np.linalg, name, refuse_from_overlay(getattr(np.linalg, name)))
+            patch.setattr(nestbench.overlay, "_solve_equality_qp", recorded)
+            problem = _banded_problem(172, _MODE_SETS[2], [0.449, 0.768, 0.89])
+            gammas = default_gamma_max(problem) * np.array([0.1, 1.0, 10.0])
+            sleeves = [optimize_mvo(problem, gamma) for gamma in gammas]
+        assert max(open_directions) > 0
+        for gamma, w in zip(gammas, sleeves):
+            assert kkt_check(problem, gamma, w).ok
 
     def test_narrow_boxes_meet_constraints_exactly(self):
         # with both narrow boxes at a bound, too few stocks are free to meet
@@ -360,6 +389,31 @@ class TestWarmStart:
         assert len(calls) <= 20
         assert kkt_check(problem, gamma, w).ok
         np.testing.assert_allclose(w, cold, rtol=0, atol=1e-12 * np.abs(cold).max())
+
+
+def _problem_in_units(instance, scale, signal, modes):
+    """The overlay of ``instance`` fitted to its returns times ``scale``."""
+    panel = dataclasses.replace(instance.panel, values=scale * instance.panel.values)
+    model = build_russian_doll(panel, instance.tree, make_betas(panel))
+    return make_overlay_problem(signal, model, benchmark_weights(model).weights, modes=modes)
+
+
+def test_sleeve_does_not_depend_on_the_units_of_returns():
+    # every rank decision weighs a column against its own norm, so returns
+    # and signal in other units give the same sleeve; kkt_check's too, so a
+    # signal left in the old units still passes its certificate
+    instance = generate(SyntheticSpec(n=250, t=250, clusters=(25, 5), rho=(0.4, 0.2), market_rho=0.1, seed=1))
+    signal = np.random.default_rng(2).normal(0.0, 0.01, 250)
+    for modes in (_MODE_SETS[1], _MODE_SETS[3]):
+        unit = tune_gamma(_problem_in_units(instance, 1.0, signal, modes)).w_prime
+        assert np.abs(unit).max() > 0.0
+        for scale in (1e-3, 1e2):
+            w = tune_gamma(_problem_in_units(instance, scale, scale * signal, modes)).w_prime
+            np.testing.assert_allclose(w, unit, rtol=0, atol=1e-12 * np.abs(unit).max())
+        problem = _problem_in_units(instance, 1e-5, signal, modes)
+        result = tune_gamma(problem)
+        assert result.gamma_prime > 0.0
+        assert kkt_check(problem, result.gamma_prime, result.w_prime).ok
 
 
 _MODE_SETS = (
